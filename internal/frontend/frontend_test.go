@@ -334,8 +334,8 @@ func TestArgvSplit(t *testing.T) {
 		t.Errorf("default mode = %v", o.Mode)
 	}
 	// Errors.
-	if _, err := ParseArgs("wafe", []string{"--nonsense"}); err == nil {
-		t.Error("unknown frontend option accepted")
+	if _, err := ParseArgs("wafe", []string{"--nonsense"}); err == nil || !strings.Contains(err.Error(), "unknown frontend option") {
+		t.Errorf("--nonsense: err = %v, want unknown frontend option", err)
 	}
 	if _, err := ParseArgs("wafe", []string{"--f"}); err == nil {
 		t.Error("file mode without script accepted")

@@ -115,7 +115,8 @@ func (h *Histogram) Mean() int64 {
 
 // Quantile returns an upper-bound estimate of the q-quantile (0 < q
 // <= 1) in nanoseconds: the upper boundary of the bucket holding the
-// q-th observation. The overflow bucket reports the observed maximum.
+// q-th observation, clamped to the observed maximum (no observation
+// lies above it, so no quantile can either).
 func (h *Histogram) Quantile(q float64) int64 {
 	n := h.count.Load()
 	if n == 0 {
@@ -128,19 +129,18 @@ func (h *Histogram) Quantile(q float64) int64 {
 	if rank > n {
 		rank = n
 	}
+	hi := h.max.Load()
 	var seen int64
 	bound := int64(histBase)
-	for i := 0; i < histBuckets; i++ {
+	for i := 0; i < histBuckets-1; i++ {
 		seen += h.buckets[i].Load()
 		if seen >= rank {
-			if i == histBuckets-1 {
-				return h.max.Load()
-			}
-			return bound
+			return min(bound, hi)
 		}
 		bound <<= 1
 	}
-	return h.max.Load()
+	// The overflow bucket has no upper boundary.
+	return hi
 }
 
 // Buckets returns a copy of the bucket counts (tests, JSON dump).

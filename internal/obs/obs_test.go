@@ -65,6 +65,28 @@ func TestHistogram(t *testing.T) {
 	}
 }
 
+// TestHistogramQuantileClampedToMax: observations that all sit inside
+// one bucket must not yield a quantile above the largest of them (the
+// bucket's upper boundary lies beyond every observation).
+func TestHistogramQuantileClampedToMax(t *testing.T) {
+	var h Histogram
+	// 5ms..7.5ms all fall in the (4194304, 8388608] ns bucket.
+	for d := 5 * time.Millisecond; d <= 7500*time.Microsecond; d += 100 * time.Microsecond {
+		h.Observe(d)
+	}
+	if h.Max() != int64(7500*time.Microsecond) {
+		t.Fatalf("max = %d", h.Max())
+	}
+	for _, q := range []float64{0.5, 0.99, 1} {
+		if got := h.Quantile(q); got > h.Max() {
+			t.Errorf("p%g = %d exceeds max %d", q*100, got, h.Max())
+		}
+	}
+	if got := h.Quantile(0.99); got != h.Max() {
+		t.Errorf("p99 = %d, want the observed max %d", got, h.Max())
+	}
+}
+
 func TestHistogramNegativeClamped(t *testing.T) {
 	var h Histogram
 	h.Observe(-time.Second)

@@ -52,19 +52,12 @@ type dispatchCache struct {
 // loopInfo is the operand record of a specialized loop: the condition
 // compiled to a typed expression AST (evaluated directly each
 // iteration, skipping ExprBool's per-call source-cache lookup) and the
-// loop scripts pre-parsed (skipping the per-invocation script-cache
-// lookups the generic commands pay). init and next are nil for while.
+// loop scripts' Programs, resolved once at loop-compile time (skipping
+// the per-invocation script and Program cache lookups the generic
+// commands pay). init and next are nil for while.
 type loopInfo struct {
 	cond             exprNode
-	init, next, body loopScript
-}
-
-// loopScript is a loop's pre-parsed script together with its compiled
-// Program, resolved once at loop-compile time so iterations skip the
-// per-call Program cache lookup.
-type loopScript struct {
-	script *Script
-	prog   *Program
+	init, next, body *Program
 }
 
 // exprTemplate is a compiled multi-word expr: the AST of the
@@ -88,13 +81,13 @@ type exprTemplate struct {
 
 // progCmd is the per-source-command record: its instruction range
 // (insns[end-1] is the dispatch instruction), the original parsed
-// command (for the profiler handoff and the expr-template bail path),
-// and its index in the Script's command list so the tree walker can
-// resume mid-script.
+// command (for the profiler's site position and the generic fallback
+// paths), and, for a command left on generic dispatch, the compiler's
+// reason for not specializing it (what `wafecheck -why` reports).
 type progCmd struct {
 	start, end int32
-	srcIdx     int
 	src        *parsedCommand
+	reason     string
 }
 
 // Program is a compiled register-bytecode form of a Script.
@@ -150,8 +143,8 @@ func (in *Interp) program(s *Script) *Program {
 func (in *Interp) compileProgram(s *Script) *Program {
 	p := &Program{script: s}
 	c := &progCompiler{in: in, p: p, specialize: in.specialGen == in.specialBase}
-	for i, cmd := range s.cmds {
-		c.compileCommand(i, cmd)
+	for _, cmd := range s.cmds {
+		c.compileCommand(cmd)
 	}
 	p.vrefs = make([]varRef, len(p.names))
 	return p
@@ -198,14 +191,22 @@ func (c *progCompiler) addName(n string) int32 {
 	return int32(len(c.p.names) - 1)
 }
 
-func (c *progCompiler) compileCommand(srcIdx int, cmd *parsedCommand) {
+func (c *progCompiler) compileCommand(cmd *parsedCommand) {
 	words := cmd.words
 	if len(words) == 0 {
 		return
 	}
-	pc := progCmd{start: int32(len(c.p.insns)), srcIdx: srcIdx, src: cmd}
+	pc := progCmd{start: int32(len(c.p.insns)), src: cmd}
 	name, nameLit := wordLiteral(words[0])
-	if !c.specialize || !nameLit || !c.trySpecialize(name, cmd) {
+	switch {
+	case !nameLit:
+		pc.reason = "command name is not a single literal word; resolved through the command table at runtime"
+	case !c.specialize:
+		pc.reason = "a specialized builtin (set, incr, expr, while, for) was rebound; every site uses the command table"
+	default:
+		pc.reason = c.trySpecialize(name, cmd)
+	}
+	if pc.reason != "" {
 		c.compileGeneric(words, nameLit)
 	}
 	pc.end = int32(len(c.p.insns))
@@ -213,23 +214,24 @@ func (c *progCompiler) compileCommand(srcIdx int, cmd *parsedCommand) {
 }
 
 // trySpecialize emits a dedicated instruction sequence for the hot
-// command shapes; it reports false (emitting nothing) when the shape
-// does not qualify, leaving the command to generic dispatch.
-func (c *progCompiler) trySpecialize(name string, cmd *parsedCommand) bool {
+// command shapes and returns "". When the shape does not qualify it
+// emits nothing and returns the reason, leaving the command to generic
+// dispatch; the reason is what `wafecheck -why` reports for the site.
+func (c *progCompiler) trySpecialize(name string, cmd *parsedCommand) string {
 	words := cmd.words
 	switch name {
 	case "set":
 		// set NAME value — NAME a literal plain scalar (array
 		// references keep the classic path and its error surface).
 		if len(words) != 3 {
-			return false
+			return "specialized form is `set NAME value`; other arities keep the classic path"
 		}
 		vn, ok := wordLiteral(words[1])
 		if !ok {
-			return false
+			return "variable name is not a literal word"
 		}
 		if _, _, isArr := splitArrayRef(vn); isArr {
-			return false
+			return "array references keep the classic set path and its error surface"
 		}
 		c.needRegs(1)
 		if !c.compileWordOp(words[2], 0) {
@@ -237,36 +239,36 @@ func (c *progCompiler) trySpecialize(name string, cmd *parsedCommand) bool {
 			c.emit(insn{op: opWord, a: int32(len(c.p.words) - 1), c: 0})
 		}
 		c.emit(insn{op: opSet, a: c.addName(vn), b: 0})
-		return true
+		return ""
 	case "incr":
 		// incr NAME ?literal-int? — delta parsed at compile time with
 		// the same trimmed base-0 rules cmdIncr applies at runtime; a
 		// malformed literal keeps the classic path so the error text
 		// is produced there.
 		if len(words) != 2 && len(words) != 3 {
-			return false
+			return "specialized form is `incr NAME ?delta?`"
 		}
 		vn, ok := wordLiteral(words[1])
 		if !ok {
-			return false
+			return "variable name is not a literal word"
 		}
 		if _, _, isArr := splitArrayRef(vn); isArr {
-			return false
+			return "array references keep the classic incr path"
 		}
 		delta := int64(1)
 		if len(words) == 3 {
 			lit, ok := wordLiteral(words[2])
 			if !ok {
-				return false
+				return "delta is not a literal word"
 			}
 			d, err := strconv.ParseInt(strings.TrimSpace(lit), 0, 64)
 			if err != nil || d != int64(int32(d)) {
-				return false
+				return "delta " + strconv.Quote(lit) + " is not a literal 32-bit integer; the classic path produces the error text"
 			}
 			delta = d
 		}
 		c.emit(insn{op: opIncr, a: c.addName(vn), b: int32(delta)})
-		return true
+		return ""
 	case "expr":
 		if len(words) == 2 {
 			if src, ok := wordLiteral(words[1]); ok {
@@ -276,18 +278,14 @@ func (c *progCompiler) trySpecialize(name string, cmd *parsedCommand) bool {
 				// effects and errors in the original order.
 				node, err := compileExprAST(src)
 				if err != nil {
-					return false
+					return "expression does not compile statically (" + err.Error() + "); the classic path interleaves substitution and errors in source order"
 				}
 				c.p.exprs = append(c.p.exprs, node)
 				c.emit(insn{op: opExpr, a: int32(len(c.p.exprs) - 1)})
-				return true
+				return ""
 			}
 		}
-		if idx, ok := c.buildExprTemplate(words[1:]); ok {
-			c.emit(insn{op: opExprTmpl, a: idx})
-			return true
-		}
-		return false
+		return c.buildExprTemplate(words[1:])
 	case "while":
 		// while {cond} {body} — both literal words (the normal braced
 		// spelling). The condition must compile as a typed expression;
@@ -295,55 +293,64 @@ func (c *progCompiler) trySpecialize(name string, cmd *parsedCommand) bool {
 		// so cmdWhile's classic per-iteration fallback (and its error
 		// surface) runs instead.
 		if len(words) != 3 {
-			return false
+			return "specialized form is `while {cond} {body}`"
 		}
-		condSrc, ok1 := wordLiteral(words[1])
-		bodySrc, ok2 := wordLiteral(words[2])
-		if !ok1 || !ok2 {
-			return false
+		condSrc, ok := wordLiteral(words[1])
+		if !ok {
+			return "condition is not a literal word (brace it so the loop re-tests it each iteration and the VM can pre-compile it)"
+		}
+		bodySrc, ok := wordLiteral(words[2])
+		if !ok {
+			return "body is not a literal word"
 		}
 		node, err := compileExprAST(condSrc)
 		if err != nil {
-			return false
+			return "condition does not compile as a typed expression (" + err.Error() + ")"
 		}
 		c.p.loops = append(c.p.loops, loopInfo{cond: node, body: c.loopScript(bodySrc)})
 		c.emit(insn{op: opWhile, a: int32(len(c.p.loops) - 1)})
-		return true
+		return ""
 	case "for":
 		// for {init} {cond} {next} {body} — all four literal.
 		if len(words) != 5 {
-			return false
+			return "specialized form is `for {init} {cond} {next} {body}`"
 		}
-		initSrc, ok1 := wordLiteral(words[1])
-		condSrc, ok2 := wordLiteral(words[2])
-		nextSrc, ok3 := wordLiteral(words[3])
-		bodySrc, ok4 := wordLiteral(words[4])
-		if !ok1 || !ok2 || !ok3 || !ok4 {
-			return false
+		var src [4]string
+		for i := range src {
+			lit, ok := wordLiteral(words[i+1])
+			if !ok {
+				return "argument " + strconv.Itoa(i+1) + " is not a literal word"
+			}
+			src[i] = lit
 		}
-		node, err := compileExprAST(condSrc)
+		node, err := compileExprAST(src[1])
 		if err != nil {
-			return false
+			return "condition does not compile as a typed expression (" + err.Error() + ")"
 		}
 		c.p.loops = append(c.p.loops, loopInfo{
 			cond: node,
-			init: c.loopScript(initSrc),
-			next: c.loopScript(nextSrc),
-			body: c.loopScript(bodySrc),
+			init: c.loopScript(src[0]),
+			next: c.loopScript(src[2]),
+			body: c.loopScript(src[3]),
 		})
 		c.emit(insn{op: opFor, a: int32(len(c.p.loops) - 1)})
-		return true
+		return ""
 	}
-	return false
+	return noOpcode
 }
+
+// noOpcode is the reason recorded for a command name that has no
+// specialized opcode at all. It is the common case, so it is a
+// constant (compiling such a command allocates no reason text);
+// ExplainScript spells out the command name.
+const noOpcode = "no specialized opcode"
 
 // loopScript pre-parses a loop script and resolves its Program now,
 // so loop iterations pay neither cache lookup. Termination: a loop
 // script is a strict substring of the command being compiled, so the
 // recursive compile cannot revisit the script it was called for.
-func (c *progCompiler) loopScript(src string) loopScript {
-	s := c.in.compileCached(src)
-	return loopScript{script: s, prog: c.in.program(s)}
+func (c *progCompiler) loopScript(src string) *Program {
+	return c.in.program(c.in.compileCached(src))
 }
 
 // compileGeneric emits one word instruction per word plus the dispatch
@@ -425,12 +432,18 @@ func exprSafeText(s string) bool {
 // classic join-and-parse path otherwise. Words that could change shape
 // under reconstruction (braced or quoted words, command substitution,
 // array references, escapes, a $var abutting more name characters)
-// refuse template compilation outright.
-func (c *progCompiler) buildExprTemplate(args []word) (int32, bool) {
+// refuse template compilation outright; the returned string says which
+// ("" when the template compiled and its opExprTmpl was emitted).
+func (c *progCompiler) buildExprTemplate(args []word) string {
 	var b strings.Builder
 	for wi, w := range args {
-		if w.form != 0 || w.expand || len(w.tokens) == 0 {
-			return 0, false
+		switch {
+		case w.form != 0:
+			return "operand word " + strconv.Itoa(wi+1) + " is braced or quoted; reconstruction could change the expression's shape"
+		case w.expand:
+			return "operand word " + strconv.Itoa(wi+1) + " uses {*} expansion"
+		case len(w.tokens) == 0:
+			return "operand word " + strconv.Itoa(wi+1) + " is empty"
 		}
 		if wi > 0 {
 			b.WriteByte(' ')
@@ -439,36 +452,36 @@ func (c *progCompiler) buildExprTemplate(args []word) (int32, bool) {
 			switch t.kind {
 			case tokText:
 				if !exprSafeText(t.text) {
-					return 0, false
+					return "literal " + strconv.Quote(t.text) + " contains characters that are unsafe to splice into reconstructed expression source"
 				}
 				b.WriteString(t.text)
 			case tokVar:
 				if t.hasIdx {
-					return 0, false
+					return "array reference $" + t.text + "(...) cannot be a template slot"
 				}
 				if ti+1 < len(w.tokens) {
 					nt := w.tokens[ti+1]
 					if nt.kind == tokText && len(nt.text) > 0 &&
 						(isVarNameChar(nt.text[0]) || nt.text[0] == '(') {
 						// "$a" + "bc" would reconstruct as $abc.
-						return 0, false
+						return "$" + t.text + " abuts more name characters; reconstruction would read a different variable"
 					}
 				}
 				b.WriteByte('$')
 				b.WriteString(t.text)
 			default:
-				return 0, false
+				return "command substitution in an operand must not run twice (once per template evaluation and once on the bail path)"
 			}
 		}
 	}
 	node, err := compileExprAST(b.String())
 	if err != nil {
-		return 0, false
+		return "reconstructed expression does not compile statically (" + err.Error() + ")"
 	}
 	var vars []string
 	node, ok := rewriteTemplateVars(node, &vars)
 	if !ok {
-		return 0, false
+		return "expression contains nodes that are not pure functions of its variable slots"
 	}
 	t := &exprTemplate{node: node, vars: vars, refs: make([]varRef, len(vars))}
 	if bn, ok := node.(*exprBinaryNode); ok {
@@ -479,7 +492,8 @@ func (c *progCompiler) buildExprTemplate(args []word) (int32, bool) {
 		}
 	}
 	c.p.tmpls = append(c.p.tmpls, t)
-	return int32(len(c.p.tmpls) - 1), true
+	c.emit(insn{op: opExprTmpl, a: int32(len(c.p.tmpls) - 1)})
+	return ""
 }
 
 // rewriteTemplateVars replaces every variable node in a compiled

@@ -188,10 +188,11 @@ type Interp struct {
 	profProcStack []string
 	profLines     map[*Script][]int
 
-	// engine selects the execution engine: the register-bytecode VM
-	// (default) or the classic tree walker, kept as the differential
-	// oracle and the --tcl-engine=tree escape hatch.
-	engine Engine
+	// walker, when non-nil, evaluates every script in place of the VM.
+	// Only the differential-oracle tests set it (to the classic tree
+	// walker, export_test.go); production interpreters have exactly
+	// one engine.
+	walker func(*Interp, *Script) (Value, error)
 
 	// cmdGen is bumped on every change to the command table; the VM's
 	// inline dispatch caches are valid only while their recorded
@@ -257,35 +258,6 @@ type varRef struct {
 	epoch   uint64
 	v       *variable
 }
-
-// Engine names a Tcl execution engine.
-type Engine int
-
-const (
-	// EngineBytecode compiles scripts to register bytecode (the v2
-	// engine, default).
-	EngineBytecode Engine = iota
-	// EngineTree is the classic tree walker, retained as the
-	// differential oracle and as an escape hatch.
-	EngineTree
-)
-
-// ParseEngine maps a --tcl-engine flag value to an Engine.
-func ParseEngine(name string) (Engine, error) {
-	switch name {
-	case "", "bytecode", "vm":
-		return EngineBytecode, nil
-	case "tree":
-		return EngineTree, nil
-	}
-	return EngineBytecode, fmt.Errorf("unknown tcl engine %q (want bytecode or tree)", name)
-}
-
-// SetEngine selects the execution engine.
-func (in *Interp) SetEngine(e Engine) { in.engine = e }
-
-// CurrentEngine reports the selected execution engine.
-func (in *Interp) CurrentEngine() Engine { return in.engine }
 
 // SetObs attaches (or, with nil, detaches) the observability metrics.
 func (in *Interp) SetObs(m *obs.TclMetrics) { in.obs = m }

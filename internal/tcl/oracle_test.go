@@ -8,17 +8,19 @@ import (
 	"testing"
 )
 
-// This file is the differential oracle of execution engine v2: the
-// tree walker (EngineTree) defines the semantics, and every test here
-// checks that the bytecode engine (EngineBytecode) is observationally
-// identical — results, error strings, accumulated output, errorInfo
+// This file is the differential oracle of the bytecode VM: the tree
+// walker (walker_test.go) defines the semantics, and every test here
+// checks that the VM is observationally identical — results, error strings, accumulated output, errorInfo
 // tracebacks, and the final global variable state.
 
-// oracleRun evaluates src on a fresh interpreter with the given engine
-// and reports everything an engine difference could show up in.
-func oracleRun(e Engine, src string) (result, errstr, out, errorInfo, vars string) {
+// oracleRun evaluates src on a fresh interpreter — on the tree walker
+// when tree is set, on the VM otherwise — and reports everything an
+// engine difference could show up in.
+func oracleRun(tree bool, src string) (result, errstr, out, errorInfo, vars string) {
 	in := New()
-	in.SetEngine(e)
+	if tree {
+		UseTreeWalker(in)
+	}
 	res, err := in.Eval(src)
 	result = res
 	if err != nil {
@@ -57,8 +59,8 @@ func globalVarDump(in *Interp) string {
 // oracleCheck runs src under both engines and reports any divergence.
 func oracleCheck(t *testing.T, src string) {
 	t.Helper()
-	tr, te, tout, tinfo, tvars := oracleRun(EngineTree, src)
-	br, be, bout, binfo, bvars := oracleRun(EngineBytecode, src)
+	tr, te, tout, tinfo, tvars := oracleRun(true, src)
+	br, be, bout, binfo, bvars := oracleRun(false, src)
 	if tr != br {
 		t.Errorf("script %q: results differ\ntree:     %q\nbytecode: %q", src, tr, br)
 	}
@@ -136,6 +138,12 @@ func TestOracleEngineSweep(t *testing.T) {
 		// opcodes back through the command table.
 		{"rebind-incr", "rename incr _incr\nproc incr {v} {uplevel _incr $v 100}\nset n 1; incr n\nset n"},
 		{"rebind-expr", "rename expr _expr\nproc expr {args} {return fixed}\nset a [expr 1 + 1]\nset b [expr {2 + 2}]\nlist $a $b"},
+		// A [command] in the value word of an already-compiled set runs
+		// once when a rebind sends the site through the command table.
+		{"rebind-set-subst-once", "set n 0\nproc f {} {global n; set x [incr n]}\nf; rename incr _incr; rename _incr incr; f; set n"},
+		// An empty command name is still an invocation: its error gets
+		// the "while executing" traceback frame.
+		{"empty-command-name", "set e {}; $e foo"},
 		// Errors inside loop conditions and bodies.
 		{"while-cond-error", "set i 0; catch {while {$i <} {incr i}} m; set m"},
 		{"for-body-error", "catch {for {set i 0} {$i < 3} {incr i} {error boom$i}} m; set m"},

@@ -39,17 +39,27 @@ func (in *Interp) Profiler() *obs.Profiler { return in.prof }
 // top-level eval and proc-call sites record into.
 func (in *Interp) SetTrace(t *obs.Trace) { in.trace = t }
 
-// profInvoke is invoke wrapped in the profiler's activation record:
-// it measures the command's wall time, subtracts the time of commands
-// nested inside it (loop bodies, proc bodies, command substitutions
-// evaluated during the call) and charges the remainder as self time to
-// the command's site.
-func (in *Interp) profInvoke(s *Script, cmd *parsedCommand, argv []string) (string, error) {
+// profDispatch is dispatch wrapped in the profiler's activation
+// record: it measures the command's wall time, subtracts the time of
+// commands nested inside it (loop bodies, proc bodies, command
+// substitutions evaluated during the call) and charges the remainder
+// as self time to the command's site. execCmd calls it after the
+// command's words are computed, so [command] substitution in the
+// arguments is charged to the enclosing record, not to this site.
+func (in *Interp) profDispatch(p *Program, c *progCmd, ins *insn, regs []Value) (Value, string, bool, error) {
 	prof := in.prof
 	in.profCmdChild = append(in.profCmdChild, 0)
 	start := time.Now()
-	res, err := in.invoke(argv)
-	dur := time.Since(start)
+	res, name, invoked, err := in.dispatch(p, c, ins, regs)
+	in.profCharge(prof, invoked, name, p.script, c.src.words[0].pos, time.Since(start))
+	return res, name, invoked, err
+}
+
+// profCharge closes a command activation record (opened by pushing a
+// zero child accumulator) that lasted dur, and charges it to the site
+// "<name>@<proc>:<line>", line being that of byte offset pos in s. A
+// record in which no command was invoked is dropped uncharged.
+func (in *Interp) profCharge(prof *obs.Profiler, invoked bool, name string, s *Script, pos int, dur time.Duration) {
 	// The stacks may have been cleared under us when the invoked
 	// command was profileOff itself (SetProfiler(nil) drops them);
 	// every pop is therefore guarded.
@@ -57,9 +67,12 @@ func (in *Interp) profInvoke(s *Script, cmd *parsedCommand, argv []string) (stri
 	if n := len(in.profCmdChild) - 1; n >= 0 {
 		child = time.Duration(in.profCmdChild[n])
 		in.profCmdChild = in.profCmdChild[:n]
-		if n > 0 {
+		if n > 0 && invoked {
 			in.profCmdChild[n-1] += int64(dur)
 		}
+	}
+	if prof == nil || !invoked {
+		return
 	}
 	self := dur - child
 	if self < 0 {
@@ -69,11 +82,7 @@ func (in *Interp) profInvoke(s *Script, cmd *parsedCommand, argv []string) (stri
 	if f := in.currentFrame(); f.proc != nil {
 		proc = f.proc.Name
 	}
-	if prof != nil {
-		site := argv[0] + "@" + proc + ":" + strconv.Itoa(in.profLine(s, cmd.words[0].pos))
-		prof.AddCommand(site, self, dur)
-	}
-	return res, err
+	prof.AddCommand(name+"@"+proc+":"+strconv.Itoa(in.profLine(s, pos)), self, dur)
 }
 
 // profLine maps a byte offset in s.Source to its 1-based line, caching

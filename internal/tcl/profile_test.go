@@ -1,6 +1,7 @@
 package tcl
 
 import (
+	"encoding/json"
 	"strings"
 	"testing"
 
@@ -13,14 +14,8 @@ import (
 // command table must carry sites with the proc's own line numbers.
 func TestProfilerHotLoopAttribution(t *testing.T) {
 	in := New()
-	evalOK(t, in, `proc cold {} { set a 1 }
-proc hot {} {
-	set s 0
-	for {set i 0} {$i < 40000} {incr i} {
-		set s [expr {$s + $i}]
-	}
-	return $s
-}`)
+	evalOK(t, in, "proc cold {} { set a 1 }\n"+profHotLoop)
+	dc := in.CountDispatch()
 	p := obs.NewProfiler()
 	p.Start()
 	in.SetProfiler(p)
@@ -30,6 +25,11 @@ proc hot {} {
 	in.SetProfiler(nil)
 	if got != "799980000" {
 		t.Fatalf("hot = %q", got)
+	}
+	// The profiled window ran on the VM's specialized opcodes (the
+	// for loop, its set/incr/expr), not on a slower stand-in engine.
+	if dc.For != 1 || dc.SpecializedTotal() < 3*40000 {
+		t.Errorf("profiled window dispatches %+v, want the specialized for loop", *dc)
 	}
 
 	total := p.TotalNs()
@@ -73,6 +73,118 @@ proc hot {} {
 	// Folded stacks carry the rooted proc path.
 	if folded := p.Folded(); !strings.Contains(folded, "<top>;hot ") {
 		t.Errorf("folded = %q", folded)
+	}
+}
+
+// profHotLoop is the synthetic hot loop the profiler tests share.
+const profHotLoop = `proc hot {} {
+	set s 0
+	for {set i 0} {$i < 40000} {incr i} {
+		set s [expr {$s + $i}]
+	}
+	return $s
+}`
+
+// TestProfilerEngineDifferential profiles one fixed script twice, on
+// the VM and on the tree-walking oracle, and requires the same site
+// table: the same "cmd@proc:line" sites with the same call counts, and
+// the same per-proc call counts. The script covers the hot loop, a
+// proc whose [command] substitutions call procs (inside and outside
+// expr), nested for/while loops, and a profileOff issued from inside a
+// profiled command, after which nothing more may be recorded.
+func TestProfilerEngineDifferential(t *testing.T) {
+	const src = `proc sq {x} {return [expr {$x * $x}]}
+proc pf {n} {
+	set result {}
+	for {set d 2} {$d <= $n} {incr d} {
+		while {[expr $n % $d] == 0} {lappend result $d; set n [expr $n / $d]}
+	}
+	return $result
+}
+proc sumsq {n} {
+	set t 0
+	set i 0
+	while {$i < $n} {
+		incr i
+		set t [expr {$t + [sq $i]}]
+	}
+	return "[llength [pf $t]] $t"
+}
+proc stop {} {
+	pf 360
+	detachprof
+	sumsq 3
+}`
+	type table struct {
+		Commands map[string]obs.ProfStat `json:"commands"`
+		Procs    map[string]obs.ProfStat `json:"procs"`
+	}
+	profile := func(tree bool) table {
+		in := New()
+		if tree {
+			UseTreeWalker(in)
+		}
+		p := obs.NewProfiler()
+		in.RegisterCommand("detachprof", func(*Interp, []string) (string, error) {
+			p.Stop()
+			in.SetProfiler(nil)
+			return "", nil
+		})
+		evalOK(t, in, profHotLoop+"\n"+src)
+		p.Start()
+		in.SetProfiler(p)
+		evalOK(t, in, "hot")
+		wantEval(t, in, "sumsq 5; pf 84", "2 2 3 7")
+		evalOK(t, in, "stop; sumsq 2; hot")
+		if in.Profiler() != nil {
+			t.Fatal("profiler still attached after detachprof")
+		}
+		var sb strings.Builder
+		if err := p.WriteJSON(&sb); err != nil {
+			t.Fatal(err)
+		}
+		var tb table
+		if err := json.Unmarshal([]byte(sb.String()), &tb); err != nil {
+			t.Fatal(err)
+		}
+		return tb
+	}
+	vm, tree := profile(false), profile(true)
+	if len(vm.Commands) == 0 {
+		t.Fatal("VM profile recorded no command sites")
+	}
+	counts := func(m map[string]obs.ProfStat) map[string]int64 {
+		out := make(map[string]int64, len(m))
+		for k, v := range m {
+			out[k] = v.Count
+		}
+		return out
+	}
+	for kind, pair := range map[string][2]map[string]obs.ProfStat{
+		"site": {vm.Commands, tree.Commands},
+		"proc": {vm.Procs, tree.Procs},
+	} {
+		v, w := counts(pair[0]), counts(pair[1])
+		for k, n := range w {
+			if v[k] != n {
+				t.Errorf("%s %s: VM count %d, walker count %d", kind, k, v[k], n)
+			}
+		}
+		for k, n := range v {
+			if _, ok := w[k]; !ok {
+				t.Errorf("%s %s: VM count %d, absent from the walker's profile", kind, k, n)
+			}
+		}
+	}
+	// Spot-check the shape: the hot loop ran once, its next script
+	// 40000 times; nothing after detachprof was recorded.
+	for site, want := range map[string]int64{"for@hot:3": 1, "incr@hot:1": 40000, "while@sumsq:4": 1, "detachprof@stop:3": 1} {
+		if got := vm.Commands[site].Count; got != want {
+			t.Errorf("site %s count = %d, want %d", site, got, want)
+		}
+	}
+	if n := vm.Procs["sumsq"].Count; n != 1 {
+		t.Errorf("sumsq profiled %d times, want 1 (only the call before detachprof)", n)
 	}
 }
 

@@ -5,69 +5,72 @@ import (
 	"strings"
 )
 
-// This file is the executor of execution engine v2. execScript runs a
-// Script's compiled Program (compile.go): per command, a short run of
-// word instructions fills a register window with typed Values, then a
-// dispatch instruction invokes the command — through an inline cache
-// for literal names, or through a dedicated opcode for the specialized
-// shapes (set/incr/expr). Semantics are defined by the tree walker
-// (script.go treeExec), which is kept as the differential oracle; every
-// observable behavior here — results, error strings, errorInfo
-// tracebacks, dispatch metrics — must match it exactly.
+// This file is the bytecode VM, the interpreter's execution engine.
+// execScript runs a Script's compiled Program (compile.go): per
+// command, a short run of word instructions fills a register window
+// with typed Values, then a dispatch instruction invokes the command —
+// through an inline cache for literal names, or through a dedicated
+// opcode for the specialized shapes (set/incr/expr/while/for).
+// Semantics are defined by the classic tree-walking evaluator, which
+// the tests keep as the differential oracle; every observable behavior
+// here — results, error strings, errorInfo tracebacks, dispatch
+// metrics, profiler sites — must match it exactly.
 
-// execScript executes s under the bytecode engine. The caller
-// (evalScriptBody) has already done the nesting bookkeeping. If a
-// command opens a profiling window mid-script, the remainder is handed
-// to the tree walker, which carries the profiler's per-site
-// attribution.
+// execScript executes s under the VM. The caller (evalScriptBody) has
+// already done the nesting bookkeeping.
 func (in *Interp) execScript(s *Script) (Value, error) {
-	return in.execProgram(in.program(s), s)
+	return in.execProgram(in.program(s))
 }
 
-func (in *Interp) execProgram(p *Program, s *Script) (Value, error) {
+func (in *Interp) execProgram(p *Program) (Value, error) {
 	var regs []Value
 	if p.nregs > 0 {
 		regs = in.acquireRegs(p.nregs)
 	}
-	release := func() {
-		if regs != nil {
-			in.releaseRegs(regs)
-		}
-	}
 	var result Value
+	var err error
 	for ci := range p.cmds {
-		if in.prof != nil {
-			release()
-			return in.treeExec(s, p.cmds[ci].srcIdx, result)
-		}
-		res, name, err := in.execCmd(p, &p.cmds[ci], regs)
+		var name string
+		var invoked bool
+		result, name, invoked, err = in.execCmd(p, &p.cmds[ci], regs)
 		if err != nil {
-			release()
-			if in.nesting == 1 && name != "" {
+			if in.nesting == 1 && invoked {
 				// The error reached the top level from a command
 				// invocation (not from word substitution): finish the
 				// traceback, exactly as the tree walker does.
 				in.recordErrorInfo(err, fmt.Sprintf("while executing %q", name))
 				in.errorUnwinding = false
 			}
-			return res, err
+			break
 		}
-		result = res
 	}
-	release()
-	if s.parseErr != nil {
-		return Value{}, s.parseErr
+	if regs != nil {
+		in.releaseRegs(regs)
 	}
-	return result, nil
+	if err == nil && p.script.parseErr != nil {
+		// Every command preceding a malformed one has run; now report
+		// the parse error, as the incremental evaluator does.
+		return Value{}, p.script.parseErr
+	}
+	return result, err
 }
 
-// execCmd runs one command's instruction range. It returns the
-// command's result and, when the error came from the invocation itself
-// rather than word substitution, the command name to report in the
-// errorInfo traceback ("" suppresses the entry).
-func (in *Interp) execCmd(p *Program, c *progCmd, regs []Value) (Value, string, error) {
+// execCmd runs one command's instruction range: the word instructions
+// fill the register window, then the final dispatch instruction runs.
+// While a profiling window is open the dispatch runs inside the
+// profiler's activation record (profDispatch), which therefore opens
+// only after the words — and any [command] substitution in them —
+// have been computed, exactly as the tree walker substitutes before it
+// invokes.
+//
+// It returns the command's result, its name, and whether a command was
+// actually invoked: false when the error came from word substitution,
+// in which case neither the errorInfo traceback nor the profiler
+// records the command.
+func (in *Interp) execCmd(p *Program, c *progCmd, regs []Value) (Value, string, bool, error) {
 	insns := p.insns[c.start:c.end]
-	for i := range insns {
+	last := len(insns) - 1
+	for i := range insns[:last] {
 		ins := &insns[i]
 		switch ins.op {
 		case opConst:
@@ -83,178 +86,181 @@ func (in *Interp) execCmd(p *Program, c *progCmd, regs []Value) (Value, string, 
 			// error message.
 			s, err := in.GetVar(name)
 			if err != nil {
-				return Value{}, "", err
+				return Value{}, "", false, err
 			}
 			regs[ins.c] = strVal(s)
 
 		case opWord:
 			s, err := in.substWord(p.words[ins.a])
 			if err != nil {
-				return Value{}, "", err
+				return Value{}, "", false, err
 			}
 			regs[ins.c] = strVal(s)
 
 		case opScript:
 			v, err := in.evalScriptV(p.subs[ins.a])
 			if err != nil {
-				return Value{}, "", err
+				return Value{}, "", false, err
 			}
 			regs[ins.c] = v
-
-		case opInvoke:
-			argv := in.acquireArgv(int(ins.b))
-			for j := range argv {
-				argv[j] = regs[int(ins.a)+j].String()
-			}
-			name := argv[0]
-			if m := in.obs; m != nil {
-				m.Dispatch.Inc(name)
-			}
-			if dc := in.opCounts; dc != nil {
-				dc.Invoke++
-			}
-			var fn CommandFunc
-			if ins.c >= 0 {
-				ca := &p.caches[ins.c]
-				if ca.fn != nil && ca.gen == in.cmdGen {
-					fn = ca.fn
-				} else if f, ok := in.commands[name]; ok {
-					ca.gen, ca.fn = in.cmdGen, f
-					fn = f
-				}
-			} else if f, ok := in.commands[name]; ok {
-				fn = f
-			}
-			if fn == nil {
-				if in.Unknown != nil {
-					res, err := in.Unknown(in, argv)
-					in.releaseArgv(argv)
-					return strVal(res), name, err
-				}
-				in.releaseArgv(argv)
-				return Value{}, name, NewError("invalid command name %q", name)
-			}
-			res, err := fn(in, argv)
-			in.releaseArgv(argv)
-			return strVal(res), name, err
-
-		case opSet:
-			// The specialized shapes bypass the command table, so they
-			// must re-check that the builtin is still bound
-			// (specialGen) before running its semantics directly.
-			if in.specialGen != in.specialBase {
-				return in.execGenericFallback(c)
-			}
-			if m := in.obs; m != nil {
-				m.Dispatch.Inc("set")
-			}
-			if dc := in.opCounts; dc != nil {
-				dc.Set++
-			}
-			nv := normFloat(regs[ins.b])
-			if err := in.setScalarRef(&p.vrefs[ins.a], p.names[ins.a], nv); err != nil {
-				return Value{}, "set", err
-			}
-			return nv, "set", nil
-
-		case opIncr:
-			if in.specialGen != in.specialBase {
-				return in.execGenericFallback(c)
-			}
-			if m := in.obs; m != nil {
-				m.Dispatch.Inc("incr")
-			}
-			if dc := in.opCounts; dc != nil {
-				dc.Incr++
-			}
-			v, err := in.incrRef(&p.vrefs[ins.a], p.names[ins.a], int64(ins.b))
-			if err != nil {
-				return Value{}, "incr", err
-			}
-			return v, "incr", nil
-
-		case opExpr:
-			if in.specialGen != in.specialBase {
-				return in.execGenericFallback(c)
-			}
-			if m := in.obs; m != nil {
-				m.Dispatch.Inc("expr")
-			}
-			if dc := in.opCounts; dc != nil {
-				dc.Expr++
-			}
-			ev := in.acquireEval()
-			v, err := p.exprs[ins.a].eval(ev)
-			in.releaseEval(ev)
-			if err != nil {
-				return Value{}, "expr", err
-			}
-			return normFloat(v), "expr", nil
-
-		case opExprTmpl:
-			if in.specialGen != in.specialBase {
-				return in.execGenericFallback(c)
-			}
-			if dc := in.opCounts; dc != nil {
-				dc.ExprTmpl++
-			}
-			return in.execExprTmpl(p.tmpls[ins.a], c)
-
-		case opWhile:
-			// Mirrors cmdWhile exactly, minus the per-invocation script
-			// parse and the per-iteration expression-cache lookups.
-			if in.specialGen != in.specialBase {
-				return in.execGenericFallback(c)
-			}
-			if m := in.obs; m != nil {
-				m.Dispatch.Inc("while")
-			}
-			if dc := in.opCounts; dc != nil {
-				dc.While++
-			}
-			return Value{}, "while", in.runWhile(&p.loops[ins.a])
-
-		case opFor:
-			// Mirrors cmdFor, including Tcl_ForObjCmd's rule that a
-			// break raised by the next script terminates the loop.
-			if in.specialGen != in.specialBase {
-				return in.execGenericFallback(c)
-			}
-			if m := in.obs; m != nil {
-				m.Dispatch.Inc("for")
-			}
-			if dc := in.opCounts; dc != nil {
-				dc.For++
-			}
-			return Value{}, "for", in.runFor(&p.loops[ins.a])
 		}
 	}
-	// Unreachable: every non-empty command ends in a dispatch
-	// instruction.
-	return Value{}, "", nil
+	if in.prof != nil {
+		return in.profDispatch(p, c, &insns[last], regs)
+	}
+	return in.dispatch(p, c, &insns[last], regs)
 }
 
-// execGenericFallback runs a command whose specialized opcode has been
-// invalidated (set/incr/expr was rebound) through the full
-// substitute-and-dispatch path.
-func (in *Interp) execGenericFallback(c *progCmd) (Value, string, error) {
-	argv, err := in.substWords(c.src.words)
-	if err != nil {
-		return Value{}, "", err
+// dispatch runs a command's dispatch instruction (see execCmd for the
+// results).
+func (in *Interp) dispatch(p *Program, c *progCmd, ins *insn, regs []Value) (Value, string, bool, error) {
+	if ins.op != opInvoke && in.specialGen != in.specialBase {
+		// The specialized shapes bypass the command table, so once
+		// one of their builtins has been rebound they go through it.
+		return in.execGenericFallback(p, c, ins, regs)
 	}
-	if len(argv) == 0 {
-		return Value{}, "", nil
+	switch ins.op {
+	case opInvoke:
+		argv := in.acquireArgv(int(ins.b))
+		for j := range argv {
+			argv[j] = regs[int(ins.a)+j].String()
+		}
+		name := argv[0]
+		if m := in.obs; m != nil {
+			m.Dispatch.Inc(name)
+		}
+		if dc := in.opCounts; dc != nil {
+			dc.Invoke++
+		}
+		var fn CommandFunc
+		if ins.c >= 0 {
+			ca := &p.caches[ins.c]
+			if ca.fn != nil && ca.gen == in.cmdGen {
+				fn = ca.fn
+			} else if f, ok := in.commands[name]; ok {
+				ca.gen, ca.fn = in.cmdGen, f
+				fn = f
+			}
+		} else if f, ok := in.commands[name]; ok {
+			fn = f
+		}
+		if fn == nil {
+			if in.Unknown != nil {
+				res, err := in.Unknown(in, argv)
+				in.releaseArgv(argv)
+				return strVal(res), name, true, err
+			}
+			in.releaseArgv(argv)
+			return Value{}, name, true, NewError("invalid command name %q", name)
+		}
+		res, err := fn(in, argv)
+		in.releaseArgv(argv)
+		return strVal(res), name, true, err
+
+	case opSet:
+		if m := in.obs; m != nil {
+			m.Dispatch.Inc("set")
+		}
+		if dc := in.opCounts; dc != nil {
+			dc.Set++
+		}
+		nv := normFloat(regs[ins.b])
+		if err := in.setScalarRef(&p.vrefs[ins.a], p.names[ins.a], nv); err != nil {
+			return Value{}, "set", true, err
+		}
+		return nv, "set", true, nil
+
+	case opIncr:
+		if m := in.obs; m != nil {
+			m.Dispatch.Inc("incr")
+		}
+		if dc := in.opCounts; dc != nil {
+			dc.Incr++
+		}
+		v, err := in.incrRef(&p.vrefs[ins.a], p.names[ins.a], int64(ins.b))
+		if err != nil {
+			return Value{}, "incr", true, err
+		}
+		return v, "incr", true, nil
+
+	case opExpr:
+		if m := in.obs; m != nil {
+			m.Dispatch.Inc("expr")
+		}
+		if dc := in.opCounts; dc != nil {
+			dc.Expr++
+		}
+		ev := in.acquireEval()
+		v, err := p.exprs[ins.a].eval(ev)
+		in.releaseEval(ev)
+		if err != nil {
+			return Value{}, "expr", true, err
+		}
+		return normFloat(v), "expr", true, nil
+
+	case opExprTmpl:
+		if dc := in.opCounts; dc != nil {
+			dc.ExprTmpl++
+		}
+		v, invoked, err := in.execExprTmpl(p.tmpls[ins.a], c)
+		return v, "expr", invoked, err
+
+	case opWhile:
+		// Mirrors cmdWhile exactly, minus the per-invocation script
+		// parse and the per-iteration expression-cache lookups.
+		if m := in.obs; m != nil {
+			m.Dispatch.Inc("while")
+		}
+		if dc := in.opCounts; dc != nil {
+			dc.While++
+		}
+		return Value{}, "while", true, in.runWhile(&p.loops[ins.a])
+
+	case opFor:
+		// Mirrors cmdFor, including Tcl_ForObjCmd's rule that a
+		// break raised by the next script terminates the loop.
+		if m := in.obs; m != nil {
+			m.Dispatch.Inc("for")
+		}
+		if dc := in.opCounts; dc != nil {
+			dc.For++
+		}
+		return Value{}, "for", true, in.runFor(&p.loops[ins.a])
+	}
+	// Unreachable: the compiler ends every command with one of the
+	// dispatch instructions above.
+	return Value{}, "", false, nil
+}
+
+// execGenericFallback runs a specialized command whose builtin has
+// been rebound through the full substitute-and-dispatch path. Only
+// opSet has run a word instruction (its value word, into register
+// ins.b); reusing that register keeps a [command] in the value from
+// being evaluated a second time. Every other specialized shape's words
+// are literals or plain $var references, which substitute without side
+// effects.
+func (in *Interp) execGenericFallback(p *Program, c *progCmd, ins *insn, regs []Value) (Value, string, bool, error) {
+	var argv []string
+	if ins.op == opSet {
+		argv = []string{"set", p.names[ins.a], regs[ins.b].String()}
+	} else {
+		var err error
+		if argv, err = in.substWords(c.src.words); err != nil {
+			return Value{}, "", false, err
+		}
 	}
 	res, err := in.invoke(argv)
-	return strVal(res), argv[0], err
+	return strVal(res), argv[0], true, err
 }
 
 // execExprTmpl evaluates a compiled expr template: fetch every slot
 // variable, verify each value is a pure numeric literal, then run the
 // typed AST. Any impurity — a missing variable, an array, a value the
 // expression lexer would not scan as exactly one number — bails to the
-// classic join-and-parse path, which is the defining semantics.
-func (in *Interp) execExprTmpl(t *exprTemplate, c *progCmd) (Value, string, error) {
+// classic join-and-parse path, which is the defining semantics. The
+// bool reports whether expr was invoked (false only when the bail
+// path's substitution failed first).
+func (in *Interp) execExprTmpl(t *exprTemplate, c *progCmd) (Value, bool, error) {
 	slots := in.tmplSlots[:0]
 	for si, name := range t.vars {
 		rv, ok := in.cachedScalar(&t.refs[si], name)
@@ -283,7 +289,7 @@ func (in *Interp) execExprTmpl(t *exprTemplate, c *progCmd) (Value, string, erro
 				if m := in.obs; m != nil {
 					m.Dispatch.Inc("expr")
 				}
-				return r, "expr", nil
+				return r, true, nil
 			}
 		}
 	}
@@ -295,28 +301,28 @@ func (in *Interp) execExprTmpl(t *exprTemplate, c *progCmd) (Value, string, erro
 	v, err := t.node.eval(ev)
 	in.releaseEval(ev)
 	if err != nil {
-		return Value{}, "expr", err
+		return Value{}, true, err
 	}
-	return normFloat(v), "expr", nil
+	return normFloat(v), true, nil
 }
 
 // execExprTmplBail is the template's escape hatch: substitute the
 // original words and evaluate like cmdExpr. A substitution failure is
-// reported as such (no traceback entry), matching the tree walker's
-// ordering where substitution precedes dispatch.
-func (in *Interp) execExprTmplBail(c *progCmd) (Value, string, error) {
+// reported as such (not invoked: no traceback entry), matching the
+// tree walker's ordering where substitution precedes dispatch.
+func (in *Interp) execExprTmplBail(c *progCmd) (Value, bool, error) {
 	argv, err := in.substWords(c.src.words)
 	if err != nil {
-		return Value{}, "", err
+		return Value{}, false, err
 	}
 	if m := in.obs; m != nil {
 		m.Dispatch.Inc("expr")
 	}
 	res, err := in.ExprEval(strings.Join(argv[1:], " "))
 	if err != nil {
-		return Value{}, "expr", err
+		return Value{}, true, err
 	}
-	return strVal(res), "expr", nil
+	return strVal(res), true, nil
 }
 
 // pureOperandValue prepares a variable's value for use as a template
@@ -424,7 +430,7 @@ func (in *Interp) runWhile(li *loopInfo) error {
 		if !ok {
 			return nil
 		}
-		if _, err := in.execLoopScript(&li.body); err != nil {
+		if _, err := in.execLoopScript(li.body); err != nil {
 			var te *Error
 			if asTclError(err, &te) {
 				if te.Code == CodeBreak {
@@ -443,7 +449,7 @@ func (in *Interp) runWhile(li *loopInfo) error {
 // Tcl_ForObjCmd's rule that a break raised by the next script
 // terminates the loop.
 func (in *Interp) runFor(li *loopInfo) error {
-	if _, err := in.execLoopScript(&li.init); err != nil {
+	if _, err := in.execLoopScript(li.init); err != nil {
 		return err
 	}
 	ev := in.acquireEval()
@@ -460,7 +466,7 @@ func (in *Interp) runFor(li *loopInfo) error {
 		if !ok {
 			return nil
 		}
-		if _, err := in.execLoopScript(&li.body); err != nil {
+		if _, err := in.execLoopScript(li.body); err != nil {
 			var te *Error
 			if asTclError(err, &te) {
 				if te.Code == CodeBreak {
@@ -473,7 +479,7 @@ func (in *Interp) runFor(li *loopInfo) error {
 				return err
 			}
 		}
-		if _, err := in.execLoopScript(&li.next); err != nil {
+		if _, err := in.execLoopScript(li.next); err != nil {
 			var te *Error
 			if asTclError(err, &te) && te.Code == CodeBreak {
 				return nil
@@ -488,16 +494,13 @@ func (in *Interp) runFor(li *loopInfo) error {
 // compiler resolved it once). Loops only run at nesting >= 1, so the
 // top-level instrumentation branch of evalScriptV cannot apply, and
 // the nesting==1 traceback reset in evalScriptBody cannot fire.
-func (in *Interp) execLoopScript(ls *loopScript) (Value, error) {
+func (in *Interp) execLoopScript(p *Program) (Value, error) {
 	in.nesting++
 	defer func() { in.nesting-- }()
 	if in.nesting > in.maxNesting {
 		return Value{}, NewError("too many nested calls to Eval (infinite loop?)")
 	}
-	if in.engine == EngineBytecode && in.prof == nil {
-		return in.execProgram(ls.prog, ls.script)
-	}
-	return in.treeExec(ls.script, 0, Value{})
+	return in.execProgram(p)
 }
 
 // acquireEval grabs a pooled exprEvaluator. Evaluations nest (a

@@ -12,25 +12,22 @@ import (
 // oracle (oracle_test.go); these tests pin the cache-invalidation
 // behavior itself.
 
-func TestParseEngine(t *testing.T) {
-	if e, err := ParseEngine("bytecode"); err != nil || e != EngineBytecode {
-		t.Fatalf("ParseEngine(bytecode) = %v, %v", e, err)
-	}
-	if e, err := ParseEngine("tree"); err != nil || e != EngineTree {
-		t.Fatalf("ParseEngine(tree) = %v, %v", e, err)
-	}
-	if _, err := ParseEngine("jit"); err == nil {
-		t.Fatal("ParseEngine(jit) accepted")
-	}
-}
-
+// TestEngineSelection: a fresh interpreter runs the VM (its dispatch
+// counters move); the test-only hook routes evaluation to the tree
+// walker (they stay still). Both agree on the result.
 func TestEngineSelection(t *testing.T) {
-	for _, e := range []Engine{EngineBytecode, EngineTree} {
+	for _, tree := range []bool{false, true} {
 		in := New()
-		in.SetEngine(e)
+		if tree {
+			UseTreeWalker(in)
+		}
+		dc := in.CountDispatch()
 		res, err := in.Eval("proc f {n} {expr {$n * 2}}; f 21")
 		if err != nil || res != "42" {
-			t.Fatalf("engine %v: %q, %v", e, res, err)
+			t.Fatalf("tree=%v: %q, %v", tree, res, err)
+		}
+		if vm := dc.Invoke+dc.SpecializedTotal() > 0; vm == tree {
+			t.Errorf("tree=%v: VM dispatch counters %+v", tree, *dc)
 		}
 	}
 }
@@ -213,10 +210,10 @@ func TestExprCmdFastPath(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "divide by zero") {
 		t.Fatalf("divide by zero through fast path: %v", err)
 	}
-	// The fast path is engine-gated: the tree engine gets identical
+	// The fast path is engine-gated: the tree walker gets identical
 	// results through the classic route.
 	tr := New()
-	tr.SetEngine(EngineTree)
+	UseTreeWalker(tr)
 	res2, err := tr.Eval("proc pf {n} {set r {}; for {set d 2} {$d <= $n} {incr d} {while {[expr $n % $d] == 0} {lappend r $d; set n [expr $n / $d]}}; return $r}; pf 360")
 	if err != nil || res2 != "2 2 2 3 3 5" {
 		t.Fatalf("tree pf 360 = %q, %v", res2, err)

@@ -1,13 +1,19 @@
 #!/bin/sh
-# bench.sh — run the benchmark suite and record per-benchmark ns/op,
-# B/op and allocs/op (averaged over the -count runs) into
-# BENCH_eval.json at the repository root.
+# bench.sh — run the benchmark suite and print per-benchmark ns/op,
+# B/op and allocs/op (averaged over the -count runs) as JSON on
+# stdout; the raw `go test` output goes to stderr. BENCH_eval.json at
+# the repository root is the frozen seed baseline that the obs, trace,
+# tclvm and xrm modes compare against: no mode writes it.
 #
-# Usage: scripts/bench.sh [go-test-bench-regexp]
+# Usage: scripts/bench.sh [go-test-bench-regexp] > results.json
 #        scripts/bench.sh obs [go-test-bench-regexp]
 #        scripts/bench.sh supervise
 #        scripts/bench.sh trace
+#        scripts/bench.sh check
+#        scripts/bench.sh serve
+#        scripts/bench.sh tclvm
 #        scripts/bench.sh xrm
+#        scripts/bench.sh render
 # Environment: COUNT (default 3), BENCHTIME (default 1s),
 # BENCHTIME_F5 (default 140000x), NOISE_PCT (default 15, supervise
 # mode only), TRACE_NOISE_PCT (default 15) and TRACE_MAX_US (default
@@ -271,9 +277,12 @@ if [ "${1:-}" = "serve" ]; then
 fi
 
 # The `tclvm` mode guards the execution-engine-v2 work. It runs the
-# paired engine-comparison benchmarks (tree walker vs bytecode VM on
-# identical workloads, in one process, so machine drift cancels) plus
-# the F4/T1 end-to-end paths, and writes BENCH_tclvm.json. Gates:
+# paired engine-comparison benchmarks in ./internal/tcl (the test-only
+# tree-walking oracle vs the bytecode VM on identical workloads, in one
+# process, so machine drift cancels) plus the interpreter and F4/T1
+# end-to-end paths in the root package, and writes BENCH_tclvm.json
+# (go test runs the two packages' benchmarks one after the other).
+# Gates:
 # the bytecode engine must run prime-factors at least
 # TCLVM_MIN_SPEEDUP (default 2.0) times faster than the tree walker,
 # a bytecode proc call must allocate at most TCLVM_MAX_PROC_ALLOCS
@@ -287,7 +296,7 @@ if [ "${1:-}" = "tclvm" ]; then
     noise="${TCLVM_NOISE_PCT:-15}"
     status=0
     out=$(go test -bench 'BenchmarkTcl_EngineCompare|BenchmarkTcl_Interpreter|BenchmarkF4_FrontendRoundTrip$|BenchmarkT1_PredefinedCallbacks$' \
-        -benchmem -benchtime "$benchtime" -count "$count" -run '^$' .)
+        -benchmem -benchtime "$benchtime" -count "$count" -run '^$' ./internal/tcl .)
     printf '%s\n' "$out"
     printf '%s\n' "$out" | awk -v minspeed="$minspeed" -v maxallocs="$maxallocs" -v noise="$noise" '
     FNR == NR {
@@ -513,12 +522,12 @@ benchtime="${BENCHTIME:-1s}"
 benchtime_f5="${BENCHTIME_F5:-140000x}"
 
 out=$(go test -bench "$pattern" -benchmem -benchtime "$benchtime" -count "$count" -run '^$' .)
-printf '%s\n' "$out"
+printf '%s\n' "$out" >&2
 
 case "$pattern" in
 .|*F5*)
     f5=$(go test -bench 'BenchmarkF5_PrimeFactorKeystrokes' -benchmem -benchtime "$benchtime_f5" -count "$count" -run '^$' .)
-    printf '%s\n' "$f5"
+    printf '%s\n' "$f5" >&2
     out=$(printf '%s\n' "$out" | grep -v '^BenchmarkF5_PrimeFactorKeystrokes'; printf '%s\n' "$f5")
     ;;
 esac
@@ -586,6 +595,4 @@ END {
             k, ns[k]/n[k], b[k]/n[k], a[k]/n[k], (i < cnt ? "," : "")
     }
     printf "}\n"
-}' > BENCH_eval.json
-
-echo "wrote BENCH_eval.json"
+}'

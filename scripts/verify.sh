@@ -61,13 +61,13 @@ WAFE_SERVE_SESSIONS=256 go test -race -count 1 -run 'TestServeLoad$' ./internal/
 echo "== scripts/bench.sh trace"
 COUNT=2 BENCHTIME=0.3s scripts/bench.sh trace
 
-# The execution-engine-v2 gate: the oracle suite (tree walker vs
-# bytecode VM over the corpus, the bug-sweep goldens and the
-# randomized scripts) under the race detector, then the paired
-# same-run perf comparison (bytecode speedup, proc-call allocs,
-# F4/T1 no-regression).
+# The execution-engine-v2 gate: the oracle suite (the test-only tree
+# walker vs the bytecode VM over the corpus, the bug-sweep goldens, the
+# randomized scripts and every demo script) under the race detector,
+# then the paired same-run perf comparison (bytecode speedup,
+# proc-call allocs, F4/T1 no-regression).
 echo "== go test -race engine differential oracle"
-go test -race -count 1 -run 'TestOracle|TestDifferential|TestVarRef|TestSpecialize|TestDispatchCache|TestExprCmd|TestProcCallAllocs' ./internal/tcl/
+go test -race -count 1 -run 'TestOracle|TestDifferential|TestDemoScriptsEngineDifferential|TestVarRef|TestSpecialize|TestDispatchCache|TestExprCmd|TestProcCallAllocs' ./internal/tcl/
 
 echo "== scripts/bench.sh tclvm"
 COUNT=2 BENCHTIME=0.3s scripts/bench.sh tclvm
