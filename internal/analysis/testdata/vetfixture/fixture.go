@@ -65,8 +65,8 @@ func (s *server) goodLockedEval() {
 
 // badScan discards parse errors both ways the rule recognizes.
 func badScan(text string) int {
-	n, _ := strconv.Atoi(text)  // want checkscan
-	fmt.Sscanf(text, "%d", &n)  // want checkscan
+	n, _ := strconv.Atoi(text) // want checkscan
+	fmt.Sscanf(text, "%d", &n) // want checkscan
 	return n
 }
 
@@ -92,7 +92,7 @@ var badRedisplayClass = &xt.Class{
 	Name: "vetBad",
 	Redisplay: func(w *xt.Widget) {
 		d := w.Display()
-		d.ClearWindow(w.Window())                      // want redisplayclip
+		d.ClearWindow(w.Window())                       // want redisplayclip
 		d.DrawString(w.Window(), d.NewGC(), 2, 12, "x") // want redisplayclip
 	},
 }

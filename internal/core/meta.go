@@ -1,6 +1,8 @@
 package core
 
 import (
+	"sync"
+
 	"wafe/internal/tcl"
 	"wafe/internal/xt"
 )
@@ -117,12 +119,43 @@ var coreMetas = []tcl.CommandMeta{
 	{Name: "rddDrag", MinArgs: 2, MaxArgs: 2},
 }
 
+// setMetas holds one shared metadata table per widget set
+// (WidgetSet → *setMetaTable). The first instance configuring a set
+// builds it; every later one adopts it copy-on-write.
+var setMetas sync.Map
+
+type setMetaTable struct {
+	once  sync.Once
+	table tcl.MetaTable
+}
+
 // registerCommandMetas records metadata for the fixed command set and
-// for every widget-creation command of the configured widget set.
-// Creation commands (except those colliding with a Tcl builtin, like
-// the List widget's "list") set Usage, so arity is enforced centrally
-// with the exact message cmdCreateWidget itself produces.
+// for every widget-creation command of the configured widget set. The
+// table depends only on the widget set, so it is built once per set and
+// shared; each instance still wraps its own creation commands (closures
+// over this instance) with arity enforcement.
 func (w *Wafe) registerCommandMetas() {
+	v, ok := setMetas.Load(w.cfg.Set)
+	if !ok {
+		v, _ = setMetas.LoadOrStore(w.cfg.Set, new(setMetaTable))
+	}
+	s := v.(*setMetaTable)
+	built := false
+	s.once.Do(func() {
+		w.buildCommandMetas()
+		s.table = w.Interp.ShareCommandMetas()
+		built = true
+	})
+	if !built {
+		w.Interp.AdoptCommandMetas(s.table)
+	}
+}
+
+// buildCommandMetas fills the interp's table. Creation commands (except
+// those colliding with a Tcl builtin, like the List widget's "list")
+// set Usage, so arity is enforced centrally with the exact message
+// cmdCreateWidget itself produces.
+func (w *Wafe) buildCommandMetas() {
 	for _, m := range coreMetas {
 		w.Interp.SetCommandMeta(m)
 	}

@@ -149,10 +149,11 @@ func (f *Frontend) AttachApp(appOut io.Reader, appIn io.Writer) {
 // read error is delivered as a terminal Err event, distinct from EOF
 // (the backend closing its stdout); bufio.Scanner conflated the two by
 // stopping silently, which made ErrTooLong and broken pipes look like a
-// clean backend exit.
+// clean backend exit. The reader's buffer is bufio's default size; a
+// longer line is assembled in buf as it arrives, up to max bytes.
 func readCommandLines(r io.Reader, max int, out chan<- xt.InputEvent) {
 	defer close(out)
-	br := bufio.NewReaderSize(r, 64*1024)
+	br := bufio.NewReader(r)
 	var buf []byte
 	skipping := false
 	for {

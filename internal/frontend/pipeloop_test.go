@@ -3,6 +3,7 @@ package frontend
 import (
 	"bufio"
 	"errors"
+	"fmt"
 	"os"
 	"strings"
 	"testing"
@@ -10,6 +11,7 @@ import (
 
 	"wafe/internal/core"
 	"wafe/internal/frontend/faultio"
+	"wafe/internal/xt"
 )
 
 // TestOverlongLineResync: a line exceeding the reader budget must be
@@ -154,5 +156,72 @@ func TestInteractiveLineContinuation(t *testing.T) {
 	}
 	if strings.Contains(term.String(), "error:") {
 		t.Errorf("continuation halves evaluated separately; terminal:\n%s", term.String())
+	}
+}
+
+// TestReadCommandLinesBoundaries: the line reader's buffer is the
+// bufio default (4 KiB), so lines at and around that size, and lines
+// many times longer, must arrive whole however the pipe fragments
+// them; the line limit must accept a line of exactly LineLimit bytes,
+// and a line past the reader's budget is counted overlong and skipped
+// with the reader resynchronizing on the next line.
+func TestReadCommandLinesBoundaries(t *testing.T) {
+	var want []string
+	var src strings.Builder
+	for i, n := range []int{4095, 4096, 4097, 20_000} {
+		line := strings.Repeat(string(rune('a'+i)), n)
+		want = append(want, line)
+		src.WriteString(line + "\n")
+	}
+	for _, frag := range []int{1, 1000, 4096, 5000} {
+		events := make(chan xt.InputEvent, len(want)+1)
+		r := &faultio.ShortReader{R: strings.NewReader(src.String()), Max: frag}
+		go readCommandLines(r, DefaultLineLimit+4096, events)
+		var got []string
+		eof := false
+		for ev := range events {
+			switch {
+			case ev.Err != nil:
+				t.Fatalf("fragments of %d: read error %v", frag, ev.Err)
+			case ev.EOF:
+				eof = true
+			default:
+				got = append(got, ev.Line)
+			}
+		}
+		if !eof || len(got) != len(want) {
+			t.Fatalf("fragments of %d: %d lines, EOF %v; want %d lines, then EOF", frag, len(got), eof, len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Errorf("fragments of %d: line %d is %d bytes, want %d intact bytes", frag, i, len(got[i]), len(want[i]))
+			}
+		}
+	}
+
+	w := core.NewTest()
+	term := &syncBuffer{}
+	f := New(w, &Options{Prefix: '%', LineLimit: DefaultLineLimit}, term)
+	appIn := &syncBuffer{}
+	atLimit := "%set v " + strings.Repeat("x", DefaultLineLimit-len("%set v "))
+	pastBudget := "%set w " + strings.Repeat("y", DefaultLineLimit+4097-len("%set w "))
+	in := atLimit + "\n%echo [string length $v]\n" + pastBudget + "\n%echo resync\n"
+	f.AttachApp(&faultio.ShortReader{R: strings.NewReader(in), Max: 3000}, appIn)
+	done := make(chan int, 1)
+	go func() { done <- f.W.App.MainLoop() }()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("main loop did not quit on EOF")
+	}
+	wantOut := fmt.Sprintf("%d\nresync\n", DefaultLineLimit-len("%set v "))
+	if got := appIn.String(); got != wantOut {
+		t.Errorf("backend stdin = %q, want %q", got, wantOut)
+	}
+	if f.OverlongLines != 1 {
+		t.Errorf("OverlongLines = %d, want 1", f.OverlongLines)
+	}
+	if v, err := w.Eval("info exists w"); err != nil || v != "0" {
+		t.Errorf("info exists w = %q, %v; the overlong line must not be evaluated", v, err)
 	}
 }

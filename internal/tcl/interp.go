@@ -136,8 +136,12 @@ type Interp struct {
 
 	// metas holds per-command metadata (arity bounds, options) set via
 	// SetCommandMeta; read by the wafecheck linter and, for entries
-	// with a Usage string, by central arity enforcement.
-	metas map[string]CommandMeta
+	// with a Usage string, by central arity enforcement. While
+	// metasShared is set the table is shared with other interps (the
+	// process-wide builtin table, or an embedder's MetaTable) and is
+	// copied before the first write.
+	metas       map[string]CommandMeta
+	metasShared bool
 
 	// Unknown, when non-nil, is invoked for undefined command names,
 	// mirroring Tcl's unknown mechanism.
@@ -262,10 +266,16 @@ type varRef struct {
 // SetObs attaches (or, with nil, detaches) the observability metrics.
 func (in *Interp) SetObs(m *obs.TclMetrics) { in.obs = m }
 
+// commandTableSize creates a new interp's command table at its final
+// size: the builtins plus an embedder's command set (Wafe registers
+// 90–110 more, depending on the widget set), so registration never
+// rehashes.
+const commandTableSize = 192
+
 // New creates an interpreter with the standard command set registered.
 func New() *Interp {
 	in := &Interp{
-		commands:    make(map[string]CommandFunc),
+		commands:    make(map[string]CommandFunc, commandTableSize),
 		procs:       make(map[string]*Proc),
 		frames:      []*frame{{vars: make(map[string]*variable), id: 1}},
 		frameSeq:    1,
@@ -281,7 +291,7 @@ func New() *Interp {
 	registerStringCommands(in)
 	registerListCommands(in)
 	registerIOCommands(in)
-	registerBuiltinMetas(in)
+	in.AdoptCommandMetas(builtinMetaTable())
 	in.specialBase = in.specialGen
 	return in
 }
@@ -317,7 +327,10 @@ func (in *Interp) RegisterCommand(name string, fn CommandFunc) {
 func (in *Interp) UnregisterCommand(name string) {
 	delete(in.commands, name)
 	delete(in.procs, name)
-	delete(in.metas, name)
+	if _, ok := in.metas[name]; ok {
+		in.ownMetas()
+		delete(in.metas, name)
+	}
 	in.cmdGen++
 	if isSpecializedName(name) {
 		in.specialGen++

@@ -1,6 +1,10 @@
 package tcl
 
-import "sort"
+import (
+	"maps"
+	"sort"
+	"sync"
+)
 
 // CommandMeta describes the call shape of a registered command: its
 // argument-count bounds, option words and ensemble subcommands, plus
@@ -55,15 +59,53 @@ type CommandMeta struct {
 // the standard message before the command runs — embedders get
 // uniform "wrong # args" reporting without writing the check by hand.
 func (in *Interp) SetCommandMeta(meta CommandMeta) {
-	if in.metas == nil {
-		in.metas = make(map[string]CommandMeta)
-	}
+	in.ownMetas()
 	in.metas[meta.Name] = meta
 	if meta.Usage == "" {
 		return
 	}
 	if fn, ok := in.commands[meta.Name]; ok {
 		in.commands[meta.Name] = enforceArity(meta, fn)
+	}
+}
+
+// ownMetas gives the interp a private metadata table before a write:
+// a table shared with other interps is copied on the first write, so
+// no write is ever visible outside the interp that made it.
+func (in *Interp) ownMetas() {
+	if !in.metasShared {
+		return
+	}
+	own := make(map[string]CommandMeta, len(in.metas)+1)
+	maps.Copy(own, in.metas)
+	in.metas, in.metasShared = own, false
+}
+
+// MetaTable is a frozen command-metadata table that any number of
+// interps, on any goroutines, share read-only (see ShareCommandMetas).
+type MetaTable struct{ metas map[string]CommandMeta }
+
+// ShareCommandMetas freezes the interp's metadata table and returns it
+// for AdoptCommandMetas. The interp copies the table before its own
+// next write, so the returned table never changes.
+func (in *Interp) ShareCommandMetas() MetaTable {
+	in.metasShared = true
+	return MetaTable{in.metas}
+}
+
+// AdoptCommandMetas replaces the interp's metadata with a shared table
+// (copy-on-write, like the builtin table New starts from). Registered
+// commands whose entry sets Usage get arity enforcement exactly as
+// SetCommandMeta would give them.
+func (in *Interp) AdoptCommandMetas(t MetaTable) {
+	in.metas, in.metasShared = t.metas, true
+	for name, m := range t.metas {
+		if m.Usage == "" {
+			continue
+		}
+		if fn, ok := in.commands[name]; ok {
+			in.commands[name] = enforceArity(m, fn)
+		}
 	}
 }
 
@@ -165,8 +207,12 @@ var builtinMetas = []CommandMeta{
 	{Name: "exit", MinArgs: 0, MaxArgs: 1},
 }
 
-func registerBuiltinMetas(in *Interp) {
+// builtinMetaTable is the table every interp starts from: built once
+// per process from builtinMetas and shared copy-on-write.
+var builtinMetaTable = sync.OnceValue(func() MetaTable {
+	metas := make(map[string]CommandMeta, len(builtinMetas))
 	for _, m := range builtinMetas {
-		in.SetCommandMeta(m)
+		metas[m.Name] = m
 	}
-}
+	return MetaTable{metas}
+})

@@ -141,7 +141,7 @@ type lruCache struct {
 }
 
 func newLRUCache(cap int) *lruCache {
-	return &lruCache{cap: cap, m: make(map[string]*lruEntry, cap)}
+	return &lruCache{cap: cap, m: make(map[string]*lruEntry)}
 }
 
 func (c *lruCache) unlink(e *lruEntry) {

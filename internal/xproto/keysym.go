@@ -1,5 +1,7 @@
 package xproto
 
+import "sync"
+
 // Keymap maps hardware keycodes to keysyms and characters. The default
 // table reproduces the DECstation LK401 codes visible in the paper's
 // xev example: typing "w!" prints
@@ -38,8 +40,14 @@ type Stroke struct {
 	Shift   bool
 }
 
-// DefaultKeymap builds the LK401-flavoured keymap.
-func DefaultKeymap() *Keymap {
+// DefaultKeymap returns the LK401-flavoured keymap. It is built once
+// per process and shared read-only by every display, so callers must
+// not modify it.
+func DefaultKeymap() *Keymap { return defaultKeymap() }
+
+var defaultKeymap = sync.OnceValue(buildDefaultKeymap)
+
+func buildDefaultKeymap() *Keymap {
 	k := &Keymap{
 		keys:   make(map[int]keyEntry),
 		byRune: make(map[rune]Stroke),

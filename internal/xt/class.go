@@ -78,6 +78,67 @@ type classCache struct {
 	// as the per-creation loop used to); constraintsQ is parallel.
 	constraints  []Resource
 	constraintsQ []resourceQuarks
+
+	// merged memoizes the widget spec per parent class (*Class, nil
+	// for a parentless shell → *mergedSpec); concurrent sessions
+	// share the entries read-only.
+	merged sync.Map
+}
+
+// mergedSpec is a widget's resource declarations: the class chain,
+// then the parent's constraint resources. ordered keeps declaration
+// order, which widget initialization relies on (e.g. fontList must
+// convert before labelString). Duplicate declarations keep the first
+// position but resolve through the last (sub-most constraint chain)
+// declaration.
+type mergedSpec struct {
+	spec    map[string]*Resource
+	ordered []specEntry
+}
+
+type specEntry struct {
+	r *Resource
+	q resourceQuarks
+}
+
+// mergedFor returns the spec of a widget of cc's class under a parent
+// of class parent, building it on first use.
+func (cc *classCache) mergedFor(parent *Class) *mergedSpec {
+	if v, ok := cc.merged.Load(parent); ok {
+		return v.(*mergedSpec)
+	}
+	crs, crq := cc.all, cc.allQ
+	var ccs []Resource
+	var ccq []resourceQuarks
+	if parent != nil {
+		pc := parent.resCache()
+		ccs, ccq = pc.constraints, pc.constraintsQ
+	}
+	ms := &mergedSpec{
+		spec:    make(map[string]*Resource, len(crs)+len(ccs)),
+		ordered: make([]specEntry, 0, len(crs)+len(ccs)),
+	}
+	for i := range crs {
+		r := &crs[i]
+		ms.spec[r.Name] = r
+		ms.ordered = append(ms.ordered, specEntry{r, crq[i]})
+	}
+	for i := range ccs {
+		r := &ccs[i]
+		if _, dup := ms.spec[r.Name]; !dup {
+			ms.ordered = append(ms.ordered, specEntry{r, ccq[i]})
+		} else {
+			for j := range ms.ordered {
+				if ms.ordered[j].r.Name == r.Name {
+					ms.ordered[j] = specEntry{r, ccq[i]}
+					break
+				}
+			}
+		}
+		ms.spec[r.Name] = r
+	}
+	v, _ := cc.merged.LoadOrStore(parent, ms)
+	return v.(*mergedSpec)
 }
 
 func (c *Class) resCache() *classCache {

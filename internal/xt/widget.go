@@ -25,7 +25,8 @@ type Widget struct {
 
 	// resources holds converted values keyed by resource name;
 	// spec maps resource name → its declaration (class chain plus
-	// parent constraints).
+	// parent constraints). spec is shared by every widget of the same
+	// class under the same parent class and must not be written.
 	resources map[string]*any
 	spec      map[string]*Resource
 	// explicit records resources set by args or setValues (they
@@ -101,7 +102,6 @@ func (app *App) CreateWidget(name string, class *Class, parent *Widget, args map
 		Parent:    parent,
 		app:       app,
 		resources: make(map[string]*any),
-		spec:      make(map[string]*Resource),
 		explicit:  make(map[string]bool),
 	}
 	if parent != nil {
@@ -120,43 +120,15 @@ func (app *App) CreateWidget(name string, class *Class, parent *Widget, args map
 		w.pathQC = []Quark{StringToQuark(app.ClassName), class.nameQuark()}
 	}
 	w.slist = app.DB.SearchListFor(w.pathQN, w.pathQC)
-	// Merge resource specs: class chain, then parent constraint
-	// resources. ordered keeps declaration order, which conversion
-	// below relies on (e.g. fontList must convert before labelString).
-	// Duplicate declarations keep the first position but resolve
-	// through the last (sub-most constraint chain) declaration.
-	type initEntry struct {
-		r *Resource
-		q resourceQuarks
-	}
-	crs := class.AllResources()
-	crq := class.resCache().allQ
-	var ccs []Resource
-	var ccq []resourceQuarks
+	var parentClass *Class
 	if parent != nil {
-		pc := parent.Class.resCache()
-		ccs, ccq = pc.constraints, pc.constraintsQ
+		parentClass = parent.Class
 	}
-	ordered := make([]initEntry, 0, len(crs)+len(ccs))
-	for i := range crs {
-		r := &crs[i]
-		w.spec[r.Name] = r
-		ordered = append(ordered, initEntry{r, crq[i]})
-	}
-	for i := range ccs {
-		r := &ccs[i]
-		if _, dup := w.spec[r.Name]; !dup {
-			ordered = append(ordered, initEntry{r, ccq[i]})
-		} else {
-			for j := range ordered {
-				if ordered[j].r.Name == r.Name {
-					ordered[j] = initEntry{r, ccq[i]}
-					break
-				}
-			}
-		}
-		w.spec[r.Name] = r
-	}
+	// The merged class and constraint spec is built once per (class,
+	// parent class) and shared by every such widget.
+	ms := class.resCache().mergedFor(parentClass)
+	w.spec = ms.spec
+	ordered := ms.ordered
 	// Initialize every declared resource: args > Xrm database > default.
 	for i := range ordered {
 		r := ordered[i].r
@@ -862,7 +834,7 @@ func (w *Widget) Destroy() {
 	w.app.liveWidgets--
 	// Drop resource storage so late references fail loudly.
 	w.resources = map[string]*any{}
-	w.spec = map[string]*Resource{}
+	w.spec = nil
 }
 
 // PathString returns the dotted widget path (for diagnostics).

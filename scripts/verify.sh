@@ -15,6 +15,10 @@ go build ./...
 echo "== go vet ./..."
 go vet ./...
 
+echo "== gofmt -l ."
+unformatted=$(gofmt -l .)
+test -z "$unformatted" || { echo "not gofmt-clean:"; echo "$unformatted"; exit 1; }
+
 echo "== go test ./..."
 go test ./...
 
