@@ -222,9 +222,9 @@ func (c *progCompiler) trySpecialize(name string, cmd *parsedCommand) string {
 	switch name {
 	case "set":
 		// set NAME value — NAME a literal plain scalar (array
-		// references keep the classic path and its error surface).
+		// references keep the generic path and its error surface).
 		if len(words) != 3 {
-			return "specialized form is `set NAME value`; other arities keep the classic path"
+			return "specialized form is `set NAME value`; other arities keep the generic path"
 		}
 		vn, ok := wordLiteral(words[1])
 		if !ok {
@@ -243,7 +243,7 @@ func (c *progCompiler) trySpecialize(name string, cmd *parsedCommand) string {
 	case "incr":
 		// incr NAME ?literal-int? — delta parsed at compile time with
 		// the same trimmed base-0 rules cmdIncr applies at runtime; a
-		// malformed literal keeps the classic path so the error text
+		// malformed literal keeps the generic path so the error text
 		// is produced there.
 		if len(words) != 2 && len(words) != 3 {
 			return "specialized form is `incr NAME ?delta?`"
@@ -263,7 +263,7 @@ func (c *progCompiler) trySpecialize(name string, cmd *parsedCommand) string {
 			}
 			d, err := strconv.ParseInt(strings.TrimSpace(lit), 0, 64)
 			if err != nil || d != int64(int32(d)) {
-				return "delta " + strconv.Quote(lit) + " is not a literal 32-bit integer; the classic path produces the error text"
+				return "delta " + strconv.Quote(lit) + " is not a literal 32-bit integer; the generic path produces the error text"
 			}
 			delta = d
 		}
@@ -273,12 +273,12 @@ func (c *progCompiler) trySpecialize(name string, cmd *parsedCommand) string {
 		if len(words) == 2 {
 			if src, ok := wordLiteral(words[1]); ok {
 				// expr {literal}: compile the expression once. A
-				// source the expression compiler rejects keeps the
-				// classic path, which interleaves substitution side
-				// effects and errors in the original order.
+				// tree holding an error node keeps the generic path,
+				// where cmdExpr evaluates the same tree and raises the
+				// error after the operands that precede it.
 				node, err := compileExprAST(src)
 				if err != nil {
-					return "expression does not compile statically (" + err.Error() + "); the classic path interleaves substitution and errors in source order"
+					return "expression has a compile-time error (" + err.Error() + "); the generic path raises it in source order"
 				}
 				c.p.exprs = append(c.p.exprs, node)
 				c.emit(insn{op: opExpr, a: int32(len(c.p.exprs) - 1)})
@@ -288,10 +288,9 @@ func (c *progCompiler) trySpecialize(name string, cmd *parsedCommand) string {
 		return c.buildExprTemplate(words[1:])
 	case "while":
 		// while {cond} {body} — both literal words (the normal braced
-		// spelling). The condition must compile as a typed expression;
-		// sources the expression compiler rejects keep the generic path
-		// so cmdWhile's classic per-iteration fallback (and its error
-		// surface) runs instead.
+		// spelling). The condition must compile to a tree without error
+		// nodes; any other keeps the generic path, where cmdWhile
+		// raises the error on the first test.
 		if len(words) != 3 {
 			return "specialized form is `while {cond} {body}`"
 		}

@@ -42,8 +42,7 @@ var differentialCorpus = []string{
 	"proc p {} {puts inproc; return done}; p",
 	// if/elseif/else chains.
 	"set v 2; if {$v == 1} {set r one} elseif {$v == 2} {set r two} else {set r other}; set r",
-	// Scripts exercising the expr fallback (non-compilable expressions
-	// that still evaluate classically).
+	// An expression whose compiled tree holds an error node.
 	"catch {expr {2 + bogusword}} msg; set msg",
 }
 

@@ -12,58 +12,32 @@ import (
 // the interpreter, which is what makes braced expr arguments work:
 // expr {$i < 10}.
 //
-// Expressions compile once to an AST cached per source string; sources
-// the compiler rejects evaluate through the classic interleaved
-// parser, which reproduces the original error messages and the order
-// in which substitution side effects surface.
+// Expressions compile once to an AST cached per source string. Every
+// source compiles: a malformed one yields a tree whose error nodes
+// raise the parse error at the point of evaluation where it occurs
+// (expr_compile.go).
 func (in *Interp) ExprEval(s string) (string, error) {
-	if n := in.compileExprCached(s); n != nil {
-		ev := in.acquireEval()
-		v, err := n.eval(ev)
-		in.releaseEval(ev)
-		if err != nil {
-			return "", err
-		}
-		return v.String(), nil
-	}
-	return in.exprEvalClassic(s)
-}
-
-// exprEvalClassic is the original Tcl-6-style evaluator that parses
-// and evaluates in one pass.
-func (in *Interp) exprEvalClassic(s string) (string, error) {
-	e := &exprParser{in: in, src: s}
-	v, err := e.parseTernary()
+	ev := in.acquireEval()
+	v, err := in.compileExprCached(s).eval(ev)
+	in.releaseEval(ev)
 	if err != nil {
 		return "", err
-	}
-	e.skipSpace()
-	if !e.atEnd() {
-		return "", NewError("syntax error in expression %q", s)
 	}
 	return v.String(), nil
 }
 
 // ExprBool evaluates an expression and interprets the result as a
-// boolean (used by if, while, for). Compiled expressions read the
-// truth value straight off the typed result, skipping the
-// format-to-string/ParseBool round trip of the string-only engine
-// (asBool and ParseBool agree on every value either can produce).
+// boolean (used by if, while, for). The truth value is read straight
+// off the typed result, skipping a format-to-string/ParseBool round
+// trip (asBool and ParseBool agree on every value either can produce).
 func (in *Interp) ExprBool(s string) (bool, error) {
-	if n := in.compileExprCached(s); n != nil {
-		ev := in.acquireEval()
-		v, err := n.eval(ev)
-		in.releaseEval(ev)
-		if err != nil {
-			return false, err
-		}
-		return v.asBool()
-	}
-	r, err := in.exprEvalClassic(s)
+	ev := in.acquireEval()
+	v, err := in.compileExprCached(s).eval(ev)
+	in.releaseEval(ev)
 	if err != nil {
 		return false, err
 	}
-	return ParseBool(r)
+	return v.asBool()
 }
 
 // ParseBool interprets a Tcl boolean string: numbers (non-zero = true)
@@ -87,82 +61,6 @@ func ParseBool(s string) (bool, error) {
 	return false, NewError("expected boolean value but got %q", s)
 }
 
-type exprParser struct {
-	in  *Interp
-	src string
-	pos int
-	// skipDepth > 0 means we are parsing an operand that will not be
-	// used (short-circuited && / || or untaken ternary branch); variable
-	// and command substitution is suppressed and operator errors ignored.
-	skipDepth int
-}
-
-func (e *exprParser) atEnd() bool { return e.pos >= len(e.src) }
-
-func (e *exprParser) skipSpace() {
-	for !e.atEnd() {
-		c := e.src[e.pos]
-		if c == ' ' || c == '\t' || c == '\n' || c == '\r' {
-			e.pos++
-			continue
-		}
-		return
-	}
-}
-
-func (e *exprParser) peekOp() string {
-	e.skipSpace()
-	return peekExprOp(e.src, e.pos)
-}
-
-func (e *exprParser) consume(op string) {
-	e.skipSpace()
-	e.pos += len(op)
-}
-
-func (e *exprParser) parseTernary() (exprVal, error) {
-	cond, err := e.parseBinary(0)
-	if err != nil {
-		return exprVal{}, err
-	}
-	if e.peekOp() == "?" {
-		e.consume("?")
-		b, err := cond.asBool()
-		if err != nil {
-			return exprVal{}, err
-		}
-		if !b {
-			e.skipDepth++
-		}
-		thenV, err := e.parseTernary()
-		if !b {
-			e.skipDepth--
-		}
-		if err != nil {
-			return exprVal{}, err
-		}
-		if e.peekOp() != ":" {
-			return exprVal{}, NewError("missing : in ternary expression")
-		}
-		e.consume(":")
-		if b {
-			e.skipDepth++
-		}
-		elseV, err := e.parseTernary()
-		if b {
-			e.skipDepth--
-		}
-		if err != nil {
-			return exprVal{}, err
-		}
-		if b {
-			return thenV, nil
-		}
-		return elseV, nil
-	}
-	return cond, nil
-}
-
 // binary operator precedence levels, low to high.
 var precLevels = [][]string{
 	{"||"},
@@ -176,78 +74,6 @@ var precLevels = [][]string{
 	{"+", "-"},
 	{"*", "/", "%"},
 	{"**"},
-}
-
-func (e *exprParser) parseBinary(level int) (exprVal, error) {
-	if level >= len(precLevels) {
-		return e.parseUnary()
-	}
-	left, err := e.parseBinary(level + 1)
-	if err != nil {
-		return exprVal{}, err
-	}
-	for {
-		op := e.peekOp()
-		found := false
-		for _, cand := range precLevels[level] {
-			if op == cand {
-				found = true
-				break
-			}
-		}
-		if !found {
-			return left, nil
-		}
-		e.consume(op)
-		// Short-circuit for && and ||: the right operand is parsed but
-		// not evaluated when the left side already decides the result.
-		if op == "&&" || op == "||" {
-			lb, err := left.asBool()
-			if err != nil {
-				return exprVal{}, err
-			}
-			decided := (op == "&&" && !lb) || (op == "||" && lb)
-			if decided {
-				e.skipDepth++
-			}
-			right, err := e.parseBinary(level + 1)
-			if decided {
-				e.skipDepth--
-				if err != nil {
-					return exprVal{}, err
-				}
-				left = intVal(b2i(lb))
-				continue
-			}
-			if err != nil {
-				return exprVal{}, err
-			}
-			rb, err := right.asBool()
-			if err != nil {
-				return exprVal{}, err
-			}
-			var r bool
-			if op == "&&" {
-				r = lb && rb
-			} else {
-				r = lb || rb
-			}
-			left = intVal(b2i(r))
-			continue
-		}
-		right, err := e.parseBinary(level + 1)
-		if err != nil {
-			return exprVal{}, err
-		}
-		left, err = applyBinary(op, left, right)
-		if err != nil {
-			if e.skipDepth > 0 {
-				left = intVal(0)
-				continue
-			}
-			return exprVal{}, err
-		}
-	}
 }
 
 func b2i(b bool) int64 {
@@ -351,8 +177,6 @@ func applyBinary(op string, l, r exprVal) (exprVal, error) {
 			return intVal(b2i(ls <= rs)), nil
 		case ">=":
 			return intVal(b2i(ls >= rs)), nil
-		case "+":
-			return exprVal{}, NewError("can't use non-numeric string %q as operand of %q", nonNumericOf(lc, rc), op)
 		default:
 			return exprVal{}, NewError("can't use non-numeric string %q as operand of %q", nonNumericOf(lc, rc), op)
 		}
@@ -410,11 +234,7 @@ func applyBinary(op string, l, r exprVal) (exprVal, error) {
 		return intVal(m), nil
 	case "**":
 		if bothInt && rc.i >= 0 {
-			res := int64(1)
-			for k := int64(0); k < rc.i; k++ {
-				res *= lc.i
-			}
-			return intVal(res), nil
+			return intVal(intPow(lc.i, rc.i)), nil
 		}
 		return floatVal(math.Pow(lc.asFloat(), rc.asFloat())), nil
 	case "<<":
@@ -476,164 +296,27 @@ func applyBinary(op string, l, r exprVal) (exprVal, error) {
 	return exprVal{}, NewError("unknown operator %q", op)
 }
 
+// intPow computes b**e for e >= 0 by square-and-multiply, in time
+// logarithmic in e. Wrapping int64 multiplication is associative and
+// commutative, so the result is bit-identical to e repeated
+// multiplications, overflow included.
+func intPow(b, e int64) int64 {
+	res := int64(1)
+	for e > 0 {
+		if e&1 == 1 {
+			res *= b
+		}
+		b *= b
+		e >>= 1
+	}
+	return res
+}
+
 func nonNumericOf(l, r exprVal) string {
 	if !l.isNumeric() {
 		return l.s
 	}
 	return r.s
-}
-
-func (e *exprParser) parseUnary() (exprVal, error) {
-	e.skipSpace()
-	if e.atEnd() {
-		return exprVal{}, NewError("premature end of expression")
-	}
-	switch op := e.src[e.pos]; op {
-	case '-', '+', '!', '~':
-		e.pos++
-		v, err := e.parseUnary()
-		if err != nil {
-			return exprVal{}, err
-		}
-		return applyUnary(op, v)
-	}
-	return e.parsePrimary()
-}
-
-func (e *exprParser) parsePrimary() (exprVal, error) {
-	e.skipSpace()
-	if e.atEnd() {
-		return exprVal{}, NewError("premature end of expression")
-	}
-	c := e.src[e.pos]
-	switch {
-	case c == '(':
-		e.pos++
-		v, err := e.parseTernary()
-		if err != nil {
-			return exprVal{}, err
-		}
-		e.skipSpace()
-		if e.atEnd() || e.src[e.pos] != ')' {
-			return exprVal{}, NewError("missing close parenthesis")
-		}
-		e.pos++
-		return v, nil
-	case c == '$':
-		p := &parser{src: e.src, pos: e.pos}
-		t, err := p.parseVarToken()
-		if err != nil {
-			return exprVal{}, &Error{Code: CodeError, Value: err.Error()}
-		}
-		e.pos = p.pos
-		if e.skipDepth > 0 {
-			return intVal(0), nil
-		}
-		s, err := e.in.substToken(t)
-		if err != nil {
-			return exprVal{}, err
-		}
-		return coerce(strVal(s))
-	case c == '[':
-		p := &parser{src: e.src, pos: e.pos}
-		t, err := p.parseCommandToken()
-		if err != nil {
-			return exprVal{}, &Error{Code: CodeError, Value: err.Error()}
-		}
-		e.pos = p.pos
-		if e.skipDepth > 0 {
-			return intVal(0), nil
-		}
-		s, err := e.in.Eval(t.text)
-		if err != nil {
-			return exprVal{}, err
-		}
-		return coerce(strVal(s))
-	case c == '"':
-		p := &parser{src: e.src, pos: e.pos}
-		w, err := p.parseQuotedWordForExpr()
-		if err != nil {
-			return exprVal{}, &Error{Code: CodeError, Value: err.Error()}
-		}
-		e.pos = p.pos
-		s, err := e.in.substWord(w)
-		if err != nil {
-			return exprVal{}, err
-		}
-		return strVal(s), nil
-	case c == '{':
-		p := &parser{src: e.src, pos: e.pos}
-		w, err := p.parseBracedWordForExpr()
-		if err != nil {
-			return exprVal{}, &Error{Code: CodeError, Value: err.Error()}
-		}
-		e.pos = p.pos
-		return strVal(w), nil
-	case c >= '0' && c <= '9' || c == '.':
-		return e.parseNumber()
-	default:
-		// Function call or bareword boolean.
-		start := e.pos
-		for !e.atEnd() && (isVarNameChar(e.src[e.pos])) {
-			e.pos++
-		}
-		if e.pos == start {
-			return exprVal{}, NewError("syntax error in expression near %q", e.src[e.pos:])
-		}
-		name := e.src[start:e.pos]
-		e.skipSpace()
-		if !e.atEnd() && e.src[e.pos] == '(' {
-			return e.parseFuncCall(name)
-		}
-		switch strings.ToLower(name) {
-		case "true", "yes", "on":
-			return intVal(1), nil
-		case "false", "no", "off":
-			return intVal(0), nil
-		case "inf":
-			return floatVal(math.Inf(1)), nil
-		case "nan":
-			return floatVal(math.NaN()), nil
-		}
-		return exprVal{}, NewError("unknown function or bareword %q in expression", name)
-	}
-}
-
-func (e *exprParser) parseNumber() (exprVal, error) {
-	v, np, err := scanExprNumber(e.src, e.pos)
-	e.pos = np
-	return v, err
-}
-
-func (e *exprParser) parseFuncCall(name string) (exprVal, error) {
-	e.pos++ // consume (
-	var args []exprVal
-	e.skipSpace()
-	if !e.atEnd() && e.src[e.pos] == ')' {
-		e.pos++
-	} else {
-		for {
-			v, err := e.parseTernary()
-			if err != nil {
-				return exprVal{}, err
-			}
-			args = append(args, v)
-			e.skipSpace()
-			if e.atEnd() {
-				return exprVal{}, NewError("missing ) in function call")
-			}
-			if e.src[e.pos] == ',' {
-				e.pos++
-				continue
-			}
-			if e.src[e.pos] == ')' {
-				e.pos++
-				break
-			}
-			return exprVal{}, NewError("syntax error in function arguments")
-		}
-	}
-	return applyFunc(name, args)
 }
 
 func applyFunc(name string, args []exprVal) (exprVal, error) {
@@ -670,6 +353,20 @@ func applyFunc(name string, args []exprVal) (exprVal, error) {
 		}
 		return floatVal(fn(a, b)), nil
 	}
+	// num1 coerces the single argument of int, round and double.
+	num1 := func() (exprVal, error) {
+		if err := need(1); err != nil {
+			return exprVal{}, err
+		}
+		a, err := coerce(args[0])
+		if err != nil {
+			return exprVal{}, err
+		}
+		if !a.isNumeric() {
+			return exprVal{}, NewError("non-numeric argument to %s()", name)
+		}
+		return a, nil
+	}
 	switch name {
 	case "abs":
 		if err := need(1); err != nil {
@@ -686,40 +383,16 @@ func applyFunc(name string, args []exprVal) (exprVal, error) {
 			return a, nil
 		}
 		return floatVal(math.Abs(a.asFloat())), nil
-	case "int":
-		if err := need(1); err != nil {
-			return exprVal{}, err
-		}
-		a, err := coerce(args[0])
+	case "int", "round", "double":
+		a, err := num1()
 		if err != nil {
 			return exprVal{}, err
 		}
-		if !a.isNumeric() {
-			return exprVal{}, NewError("non-numeric argument to int()")
-		}
-		return intVal(int64(a.asFloat())), nil
-	case "round":
-		if err := need(1); err != nil {
-			return exprVal{}, err
-		}
-		a, err := coerce(args[0])
-		if err != nil {
-			return exprVal{}, err
-		}
-		if !a.isNumeric() {
-			return exprVal{}, NewError("non-numeric argument to round()")
-		}
-		return intVal(int64(math.Round(a.asFloat()))), nil
-	case "double":
-		if err := need(1); err != nil {
-			return exprVal{}, err
-		}
-		a, err := coerce(args[0])
-		if err != nil {
-			return exprVal{}, err
-		}
-		if !a.isNumeric() {
-			return exprVal{}, NewError("non-numeric argument to double()")
+		switch name {
+		case "int":
+			return intVal(int64(a.asFloat())), nil
+		case "round":
+			return intVal(int64(math.Round(a.asFloat()))), nil
 		}
 		return floatVal(a.asFloat()), nil
 	case "sqrt":
@@ -760,9 +433,9 @@ func applyFunc(name string, args []exprVal) (exprVal, error) {
 		return f2(math.Mod)
 	case "hypot":
 		return f2(math.Hypot)
-	case "min":
+	case "min", "max":
 		if len(args) == 0 {
-			return exprVal{}, NewError("min() requires at least one argument")
+			return exprVal{}, NewError("%s() requires at least one argument", name)
 		}
 		best, err := coerce(args[0])
 		if err != nil {
@@ -773,25 +446,7 @@ func applyFunc(name string, args []exprVal) (exprVal, error) {
 			if err != nil {
 				return exprVal{}, err
 			}
-			if c.asFloat() < best.asFloat() {
-				best = c
-			}
-		}
-		return best, nil
-	case "max":
-		if len(args) == 0 {
-			return exprVal{}, NewError("max() requires at least one argument")
-		}
-		best, err := coerce(args[0])
-		if err != nil {
-			return exprVal{}, err
-		}
-		for _, a := range args[1:] {
-			c, err := coerce(a)
-			if err != nil {
-				return exprVal{}, err
-			}
-			if c.asFloat() > best.asFloat() {
+			if (name == "min" && c.asFloat() < best.asFloat()) || (name == "max" && c.asFloat() > best.asFloat()) {
 				best = c
 			}
 		}

@@ -1,19 +1,24 @@
 package tcl
 
 import (
+	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
 	"strings"
 )
 
-// This file compiles expressions to a small AST so that hot
+// This file is the one expression front end: it compiles a source to a
+// small AST once, and the tree evaluates left to right, so hot
 // expressions (loop tests, callback arithmetic) parse once. The
 // compiler is purely syntactic — it never touches the interpreter —
-// so when it fails the classic parse-as-you-evaluate path
-// (exprEvalClassic) runs instead and reproduces the original
-// behavior, including the order in which substitution side effects
-// and errors interleave with parsing.
+// and it compiles every source, malformed ones included: each parse
+// error becomes an exprErrNode placed where a parse-as-you-evaluate
+// reader would meet it, so the operands before the error run (or are
+// skipped) in source order and then the error is raised with its
+// classic text. The original one-pass evaluator survives as the test
+// oracle in expr_oracle_test.go.
 
 type exprNode interface {
 	eval(ev *exprEvaluator) (exprVal, error)
@@ -26,7 +31,7 @@ type exprEvaluator struct {
 	// skipDepth > 0 means the operand being evaluated will not be used
 	// (short-circuited && / || or the untaken ternary branch); variable
 	// and command substitution is suppressed and operator errors are
-	// ignored, matching the classic parser.
+	// ignored, as the one-pass reader of classic Tcl did.
 	skipDepth int
 	// slots holds the pre-fetched operand values of an expr template
 	// (exprSlotNode); nil outside template evaluation.
@@ -50,7 +55,7 @@ func (n *exprVarNode) eval(ev *exprEvaluator) (exprVal, error) {
 	if ev.skipDepth > 0 {
 		return intVal(0), nil
 	}
-	if !n.tok.hasIdx {
+	if n.tok.kind == tokVar && !n.tok.hasIdx {
 		// Typed fast path: a plain scalar in the current frame hands
 		// its machine representation straight to the evaluator. Arrays
 		// and missing variables fall through to substToken, which
@@ -122,9 +127,8 @@ func (n *exprCmdNode) eval(ev *exprEvaluator) (exprVal, error) {
 	return coerce(v)
 }
 
-// exprQuotedNode is a "..." word; like the classic parser it is
-// substituted even in skipped operands, and substitution errors
-// propagate.
+// exprQuotedNode is a "..." word; as in classic Tcl it is substituted
+// even in skipped operands, and substitution errors propagate.
 type exprQuotedNode struct{ w word }
 
 func (n *exprQuotedNode) eval(ev *exprEvaluator) (exprVal, error) {
@@ -218,8 +222,8 @@ func (n *exprAndOrNode) eval(ev *exprEvaluator) (exprVal, error) {
 }
 
 // exprTernaryNode evaluates both branches — the untaken one in skip
-// mode — exactly as the classic parser must, since it cannot skip
-// over unparsed text.
+// mode — exactly as a one-pass reader must, since it cannot skip over
+// unparsed text.
 type exprTernaryNode struct {
 	cond, thenN, elseN exprNode
 }
@@ -276,8 +280,8 @@ func (n *exprFuncNode) eval(ev *exprEvaluator) (exprVal, error) {
 	return applyFunc(n.name, args)
 }
 
-// applyUnary applies a unary operator; shared between the classic
-// parser and the compiled evaluator so behavior cannot drift.
+// applyUnary applies a unary operator; shared with the test oracle
+// (expr_oracle_test.go) so behavior cannot drift.
 func applyUnary(op byte, v exprVal) (exprVal, error) {
 	switch op {
 	case '-':
@@ -428,17 +432,18 @@ func scanExprNumber(src string, pos int) (exprVal, int, error) {
 }
 
 // exprCompiler builds an exprNode tree from source without touching
-// the interpreter. Any parse failure simply aborts compilation; the
-// caller then evaluates via the classic parser.
+// the interpreter. It compiles every source: each parse error becomes
+// an exprErrNode, and the first structural one halts compilation.
 type exprCompiler struct {
 	src string
 	pos int
-	// lenient accepts unknown barewords as string literals instead of
-	// bailing to the classic parser. The evaluating path never sets it
-	// (bareword errors must interleave with substitution side effects
-	// exactly as before); CheckExpr uses it for static syntax checking,
-	// where a bareword is only a runtime concern, not a syntax error.
-	lenient bool
+	// halted is the structural error node that stopped compilation;
+	// nil while the source still parses. Each construct that is open
+	// when it is set wraps what it parsed so far and returns at once,
+	// which leaves the error node as the last node evaluation reaches.
+	halted *exprErrNode
+	// first is the first error node compiled, a bareword or the halt.
+	first *exprErrNode
 }
 
 func (c *exprCompiler) atEnd() bool { return c.pos >= len(c.src) }
@@ -464,249 +469,271 @@ func (c *exprCompiler) consume(op string) {
 	c.pos += len(op)
 }
 
-var errExprCompile = fmt.Errorf("expression does not compile")
+// exprErrNode raises an error the expression parser found. pre holds
+// the operands the failing construct had parsed before the error; they
+// run first, so their substitutions and errors surface before this one,
+// in source order. The error itself is raised whatever the skip depth:
+// a parse error is never short-circuited away.
+type exprErrNode struct {
+	pre []exprNode
+	msg string
+	// at is what CheckExpr reports for a structural error; nil for an
+	// unknown bareword, which a substitution could legally produce at
+	// run time and so is no static syntax error.
+	at *ParseError
+}
 
-// compileExprAST compiles a full expression; any syntactic oddity
-// (including trailing junk) returns an error so the classic parser
-// handles the source instead.
-func compileExprAST(src string) (exprNode, error) {
-	c := &exprCompiler{src: src}
-	n, err := c.compileTernary()
-	if err != nil {
-		return nil, err
+func (n *exprErrNode) eval(ev *exprEvaluator) (exprVal, error) {
+	for _, p := range n.pre {
+		if _, err := p.eval(ev); err != nil {
+			return exprVal{}, err
+		}
+	}
+	return exprVal{}, NewError("%s", n.msg)
+}
+
+// fail halts compilation at c.pos with err, after the nodes in pre.
+// A *ParseError from a token parser is reported statically as is;
+// every other error statically reads "syntax error in expression".
+func (c *exprCompiler) fail(pre []exprNode, err error) exprNode {
+	at, ok := err.(*ParseError)
+	if !ok {
+		at = &ParseError{Msg: "syntax error in expression", Off: c.pos}
+	}
+	return c.halt(&exprErrNode{pre: pre, msg: err.Error(), at: at})
+}
+
+func (c *exprCompiler) halt(n *exprErrNode) exprNode {
+	c.halted = n
+	if c.first == nil {
+		c.first = n
+	}
+	return n
+}
+
+// compile compiles the whole source; trailing junk becomes a node that
+// runs the parsed tree and then raises.
+func (c *exprCompiler) compile() exprNode {
+	n := c.compileTernary()
+	if c.halted != nil {
+		return n
 	}
 	c.skipSpace()
 	if !c.atEnd() {
-		return nil, errExprCompile
+		return c.halt(&exprErrNode{
+			pre: []exprNode{n},
+			msg: fmt.Sprintf("syntax error in expression %q", c.src),
+			at:  &ParseError{Msg: "extra tokens after expression", Off: c.pos},
+		})
+	}
+	return n
+}
+
+// compileExprAST compiles a full expression. The tree it returns is
+// always evaluable; err is the message of its first error node, or nil
+// when the tree has none — only such a clean tree is a pure function
+// of its operands that the VM may specialize.
+func compileExprAST(src string) (exprNode, error) {
+	c := &exprCompiler{src: src}
+	n := c.compile()
+	if c.first != nil {
+		return n, errors.New(c.first.msg)
 	}
 	return n, nil
 }
 
-func (c *exprCompiler) compileTernary() (exprNode, error) {
-	cond, err := c.compileBinary(0)
-	if err != nil {
-		return nil, err
+func (c *exprCompiler) compileTernary() exprNode {
+	cond := c.compileBinary(0)
+	if c.halted != nil || c.peekOp() != "?" {
+		return cond
 	}
-	if c.peekOp() == "?" {
-		c.consume("?")
-		thenN, err := c.compileTernary()
-		if err != nil {
-			return nil, err
-		}
-		if c.peekOp() != ":" {
-			return nil, errExprCompile
-		}
-		c.consume(":")
-		elseN, err := c.compileTernary()
-		if err != nil {
-			return nil, err
-		}
-		return &exprTernaryNode{cond: cond, thenN: thenN, elseN: elseN}, nil
+	c.consume("?")
+	thenN := c.compileTernary()
+	if c.halted != nil {
+		// The halt stands in for the unparsed else branch; evaluation
+		// never reaches it, since thenN raises first.
+		return &exprTernaryNode{cond: cond, thenN: thenN, elseN: c.halted}
 	}
-	return cond, nil
+	if c.peekOp() != ":" {
+		return &exprTernaryNode{cond: cond, thenN: thenN,
+			elseN: c.fail(nil, NewError("missing : in ternary expression"))}
+	}
+	c.consume(":")
+	return &exprTernaryNode{cond: cond, thenN: thenN, elseN: c.compileTernary()}
 }
 
-func (c *exprCompiler) compileBinary(level int) (exprNode, error) {
+func (c *exprCompiler) compileBinary(level int) exprNode {
 	if level >= len(precLevels) {
 		return c.compileUnary()
 	}
-	left, err := c.compileBinary(level + 1)
-	if err != nil {
-		return nil, err
-	}
-	for {
+	left := c.compileBinary(level + 1)
+	for c.halted == nil {
 		op := c.peekOp()
-		found := false
-		for _, cand := range precLevels[level] {
-			if op == cand {
-				found = true
-				break
-			}
-		}
-		if !found {
-			return left, nil
+		if !slices.Contains(precLevels[level], op) {
+			break
 		}
 		c.consume(op)
-		right, err := c.compileBinary(level + 1)
-		if err != nil {
-			return nil, err
-		}
+		right := c.compileBinary(level + 1)
 		if op == "&&" || op == "||" {
 			left = &exprAndOrNode{isAnd: op == "&&", l: left, r: right}
 		} else {
 			left = foldBinary(op, left, right)
 		}
 	}
+	return left
 }
 
-func (c *exprCompiler) compileUnary() (exprNode, error) {
+func (c *exprCompiler) compileUnary() exprNode {
 	c.skipSpace()
 	if c.atEnd() {
-		return nil, errExprCompile
+		return c.fail(nil, NewError("premature end of expression"))
 	}
 	switch op := c.src[c.pos]; op {
 	case '-', '+', '!', '~':
 		c.pos++
-		x, err := c.compileUnary()
-		if err != nil {
-			return nil, err
-		}
-		return foldUnary(op, x), nil
+		return foldUnary(op, c.compileUnary())
 	}
 	return c.compilePrimary()
 }
 
-func (c *exprCompiler) compilePrimary() (exprNode, error) {
-	c.skipSpace()
-	if c.atEnd() {
-		return nil, errExprCompile
-	}
+func (c *exprCompiler) compilePrimary() exprNode {
 	ch := c.src[c.pos]
 	switch {
 	case ch == '(':
 		c.pos++
-		n, err := c.compileTernary()
-		if err != nil {
-			return nil, err
+		n := c.compileTernary()
+		if c.halted != nil {
+			return n
 		}
 		c.skipSpace()
 		if c.atEnd() || c.src[c.pos] != ')' {
-			return nil, errExprCompile
+			return c.fail([]exprNode{n}, NewError("missing close parenthesis"))
 		}
 		c.pos++
-		return n, nil
+		return n
 	case ch == '$':
 		p := &parser{src: c.src, pos: c.pos}
 		t, err := p.parseVarToken()
 		if err != nil {
-			return nil, err
+			return c.fail(nil, err)
 		}
 		c.pos = p.pos
 		if t.hasIdx {
 			compileWordTokens(t.index)
 		}
-		return &exprVarNode{tok: t}, nil
+		return &exprVarNode{tok: t}
 	case ch == '[':
 		p := &parser{src: c.src, pos: c.pos}
 		t, err := p.parseCommandToken()
 		if err != nil {
-			return nil, err
+			return c.fail(nil, err)
 		}
 		c.pos = p.pos
-		return &exprCmdNode{script: compileScript(t.text)}, nil
+		return &exprCmdNode{script: compileScript(t.text)}
 	case ch == '"':
 		p := &parser{src: c.src, pos: c.pos}
 		w, err := p.parseQuotedWordForExpr()
 		if err != nil {
-			return nil, err
+			return c.fail(nil, err)
 		}
 		c.pos = p.pos
 		compileWordTokens(w.tokens)
 		if len(w.tokens) == 0 {
-			return &exprLit{v: strVal("")}, nil
+			return &exprLit{v: strVal("")}
 		}
 		if len(w.tokens) == 1 && w.tokens[0].kind == tokText {
-			return &exprLit{v: strVal(w.tokens[0].text)}, nil
+			return &exprLit{v: strVal(w.tokens[0].text)}
 		}
-		return &exprQuotedNode{w: w}, nil
+		return &exprQuotedNode{w: w}
 	case ch == '{':
 		p := &parser{src: c.src, pos: c.pos}
 		s, err := p.parseBracedWordForExpr()
 		if err != nil {
-			return nil, err
+			return c.fail(nil, err)
 		}
 		c.pos = p.pos
-		return &exprLit{v: strVal(s)}, nil
+		return &exprLit{v: strVal(s)}
 	case ch >= '0' && ch <= '9' || ch == '.':
 		v, np, err := scanExprNumber(c.src, c.pos)
 		if err != nil {
-			return nil, err
+			return c.fail(nil, err)
 		}
 		c.pos = np
-		return &exprLit{v: v}, nil
-	default:
-		start := c.pos
-		for !c.atEnd() && isVarNameChar(c.src[c.pos]) {
-			c.pos++
-		}
-		if c.pos == start {
-			return nil, errExprCompile
-		}
-		name := c.src[start:c.pos]
-		c.skipSpace()
-		if !c.atEnd() && c.src[c.pos] == '(' {
-			return c.compileFunc(name)
-		}
-		switch strings.ToLower(name) {
-		case "true", "yes", "on":
-			return &exprLit{v: intVal(1)}, nil
-		case "false", "no", "off":
-			return &exprLit{v: intVal(0)}, nil
-		case "inf":
-			return &exprLit{v: floatVal(math.Inf(1))}, nil
-		case "nan":
-			return &exprLit{v: floatVal(math.NaN())}, nil
-		}
-		// Unknown barewords go to the classic parser, which raises the
-		// error after any preceding substitutions have run. A lenient
-		// (static-check) compile treats them as string operands.
-		if c.lenient {
-			return &exprLit{v: strVal(name)}, nil
-		}
-		return nil, errExprCompile
+		return &exprLit{v: v}
 	}
+	start := c.pos
+	for !c.atEnd() && isVarNameChar(c.src[c.pos]) {
+		c.pos++
+	}
+	if c.pos == start {
+		return c.fail(nil, NewError("syntax error in expression near %q", c.src[c.pos:]))
+	}
+	name := c.src[start:c.pos]
+	c.skipSpace()
+	if !c.atEnd() && c.src[c.pos] == '(' {
+		return c.compileFunc(name)
+	}
+	switch strings.ToLower(name) {
+	case "true", "yes", "on":
+		return &exprLit{v: intVal(1)}
+	case "false", "no", "off":
+		return &exprLit{v: intVal(0)}
+	case "inf":
+		return &exprLit{v: floatVal(math.Inf(1))}
+	case "nan":
+		return &exprLit{v: floatVal(math.NaN())}
+	}
+	// An unknown bareword raises when evaluation reaches it, but does
+	// not halt compilation: CheckExpr still sees the syntax after it.
+	n := &exprErrNode{msg: fmt.Sprintf("unknown function or bareword %q in expression", name)}
+	if c.first == nil {
+		c.first = n
+	}
+	return n
 }
 
 // CheckExpr statically checks the syntax of an expression source. It
-// is lenient about barewords (which may be legal strings at runtime)
-// but rejects structural errors: unbalanced parentheses, missing
-// operands, a ? without its :, trailing junk. On failure it returns a
-// *ParseError whose offset points at the first unparsable character.
+// reports the structural error that halts compilation — unbalanced
+// parentheses, a missing operand, a ? without its :, trailing junk, a
+// malformed number or token — as a *ParseError whose offset points at
+// the first unparsable character. Unknown barewords pass: at run time
+// they may be legal strings produced by substitution.
 func CheckExpr(src string) error {
-	c := &exprCompiler{src: src, lenient: true}
-	_, err := c.compileTernary()
-	if err != nil {
-		if pe, ok := err.(*ParseError); ok {
-			return pe
-		}
-		return &ParseError{Msg: "syntax error in expression", Off: c.pos}
-	}
-	c.skipSpace()
-	if !c.atEnd() {
-		return &ParseError{Msg: "extra tokens after expression", Off: c.pos}
+	c := &exprCompiler{src: src}
+	c.compile()
+	if c.halted != nil {
+		return c.halted.at
 	}
 	return nil
 }
 
-func (c *exprCompiler) compileFunc(name string) (exprNode, error) {
+func (c *exprCompiler) compileFunc(name string) exprNode {
 	c.pos++ // consume (
-	var args []exprNode
 	c.skipSpace()
 	if !c.atEnd() && c.src[c.pos] == ')' {
 		c.pos++
-	} else {
-		for {
-			n, err := c.compileTernary()
-			if err != nil {
-				return nil, err
-			}
-			args = append(args, n)
-			c.skipSpace()
-			if c.atEnd() {
-				return nil, errExprCompile
-			}
-			if c.src[c.pos] == ',' {
-				c.pos++
-				continue
-			}
-			if c.src[c.pos] == ')' {
-				c.pos++
-				break
-			}
-			return nil, errExprCompile
-		}
+		return foldFunc(name, nil)
 	}
-	return foldFunc(name, args), nil
+	var args []exprNode
+	for {
+		args = append(args, c.compileTernary())
+		if c.halted != nil {
+			return &exprFuncNode{name: name, args: args}
+		}
+		c.skipSpace()
+		if c.atEnd() {
+			return c.fail(args, NewError("missing ) in function call"))
+		}
+		switch c.src[c.pos] {
+		case ',':
+			c.pos++
+			continue
+		case ')':
+			c.pos++
+			return foldFunc(name, args)
+		}
+		return c.fail(args, NewError("syntax error in function arguments"))
+	}
 }
 
 // foldUnary, foldBinary and foldFunc fold constant subtrees at compile
@@ -748,32 +775,23 @@ func foldFunc(name string, args []exprNode) exprNode {
 	return &exprFuncNode{name: name, args: args}
 }
 
-// compiledExpr is the cache entry; a nil node marks a source that
-// does not compile, so repeated evaluations skip the compile attempt
-// and go straight to the classic parser.
-type compiledExpr struct{ node exprNode }
-
+// compileExprCached returns the compiled tree for s, interned in the
+// per-interpreter expression cache.
 func (in *Interp) compileExprCached(s string) exprNode {
 	if in.exprCache == nil || len(s) > maxCachedSrcLen {
-		n, err := compileExprAST(s)
-		if err != nil {
-			return nil
-		}
+		n, _ := compileExprAST(s)
 		return n
 	}
 	if v, ok := in.exprCache.get(s); ok {
 		if m := in.obs; m != nil {
 			m.ExprCacheHits.Inc()
 		}
-		return v.(*compiledExpr).node
+		return v.(exprNode)
 	}
 	if m := in.obs; m != nil {
 		m.ExprCacheMisses.Inc()
 	}
-	n, err := compileExprAST(s)
-	if err != nil {
-		n = nil
-	}
-	in.exprCache.put(s, &compiledExpr{node: n})
+	n, _ := compileExprAST(s)
+	in.exprCache.put(s, n)
 	return n
 }

@@ -126,24 +126,80 @@ func TestCommandMetaRegistry(t *testing.T) {
 	}
 }
 
+// TestCheckExpr pins CheckExpr's diagnostics per structural error
+// kind — message and offset as they were before every source compiled
+// to a tree — and that barewords still pass the static check.
 func TestCheckExpr(t *testing.T) {
-	if err := CheckExpr("1 + 2 * (3 - 4)"); err != nil {
-		t.Errorf("valid expr rejected: %v", err)
+	const syntax = "syntax error in expression"
+	cases := []struct {
+		src, msg string // msg "" means the source passes
+		off      int
+	}{
+		{"1 + 2 * (3 - 4)", "", 0},
+		// Barewords are accepted leniently: at eval time they may be
+		// produced by substitutions the static checker cannot see.
+		{`red == "red"`, "", 0},
+		{"2 + bogusword", "", 0},
+		{"bogus", "", 0},
+		// premature end
+		{"1 +", syntax, 3},
+		{"", syntax, 0},
+		{"  ", syntax, 2},
+		{"-", syntax, 1},
+		// missing close parenthesis
+		{"(1 + 2", syntax, 6},
+		{"(1 + 2 3", syntax, 7},
+		{"1 ? (2 : 3", syntax, 7},
+		// ? without :
+		{"1 ? 2", syntax, 5},
+		{"1 ? 2 3", syntax, 6},
+		// syntax error near ...
+		{"1 + )", syntax, 4},
+		{"@", syntax, 0},
+		// function calls
+		{"max(1, 2", syntax, 8},
+		{"max(1 2)", syntax, 6},
+		{"f(", syntax, 2},
+		// trailing junk
+		{"1 + 2 extra", "extra tokens after expression", 6},
+		{"1 2", "extra tokens after expression", 2},
+		{"(1) 2", "extra tokens after expression", 4},
+		{"1 : 2", "extra tokens after expression", 2},
+		{"1 + bogus 2", "extra tokens after expression", 10},
+		// too-large and bad numbers
+		{"9223372036854775808", syntax, 0},
+		{"1 + 9223372036854775808", syntax, 4},
+		{"0x1ffffffffffffffff", syntax, 0},
+		{"1.2.3", syntax, 0},
+		{"0x", syntax, 0},
+		// bad $, [, " and { tokens
+		{"${a", "missing close-brace for variable name", 0},
+		{"$a(1", "missing )", 2},
+		{"[incr n", "missing close-bracket", 0},
+		{`"abc`, syntax, 0},
+		{"{abc", syntax, 0},
+		{`"[incr n"`, "missing close-bracket", 1},
+		{`"${a"`, "missing close-brace for variable name", 1},
+		{`$a + "x$\`, syntax, 5},
+		// a bareword before a structural error does not mask it
+		{"bogus + (1", syntax, 10},
 	}
-	// Barewords are accepted leniently: at eval time they may be
-	// produced by substitutions the static checker cannot see.
-	if err := CheckExpr(`red == "red"`); err != nil {
-		t.Errorf("bareword operand rejected: %v", err)
-	}
-	err := CheckExpr("1 +")
-	if err == nil {
-		t.Fatal("incomplete expr accepted")
-	}
-	if _, ok := err.(*ParseError); !ok {
-		t.Errorf("error type %T, want *ParseError", err)
-	}
-	if err := CheckExpr("1 + 2 extra"); err == nil {
-		t.Error("trailing junk accepted")
+	for _, c := range cases {
+		err := CheckExpr(c.src)
+		if c.msg == "" {
+			if err != nil {
+				t.Errorf("CheckExpr(%q) = %v, want nil", c.src, err)
+			}
+			continue
+		}
+		pe, ok := err.(*ParseError)
+		if !ok {
+			t.Errorf("CheckExpr(%q) = %#v, want *ParseError", c.src, err)
+			continue
+		}
+		if pe.Msg != c.msg || pe.Off != c.off {
+			t.Errorf("CheckExpr(%q) = %q at %d, want %q at %d", c.src, pe.Msg, pe.Off, c.msg, c.off)
+		}
 	}
 }
 

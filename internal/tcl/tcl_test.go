@@ -3,6 +3,7 @@ package tcl
 import (
 	"strings"
 	"testing"
+	"time"
 )
 
 // evalOK evaluates a script and fails the test on error.
@@ -302,6 +303,31 @@ func TestExprArithmetic(t *testing.T) {
 	}
 	wantErr(t, in, "expr 1/0", "divide by zero")
 	wantErr(t, in, "expr 1%0", "divide by zero")
+}
+
+// TestExprIntPower checks that integer ** agrees with repeated
+// wrapping multiplication and runs in time logarithmic in the
+// exponent: a huge literal exponent must neither hang evaluation nor
+// the constant folding at compile time.
+func TestExprIntPower(t *testing.T) {
+	for b := int64(-5); b <= 5; b++ {
+		want := int64(1)
+		for e := int64(0); e <= 200; e++ {
+			got, err := applyBinary("**", intVal(b), intVal(e))
+			if err != nil || got.kind != vInt || got.i != want {
+				t.Fatalf("%d ** %d = %+v, %v; want %d", b, e, got, err, want)
+			}
+			want *= b
+		}
+	}
+	in := New()
+	start := time.Now()
+	if got := evalOK(t, in, "expr {2 ** 9223372036854775807}"); got != "0" {
+		t.Errorf("2 ** 9223372036854775807 = %s, want 0", got)
+	}
+	if d := time.Since(start); d > 10*time.Millisecond {
+		t.Errorf("2 ** 9223372036854775807 took %v, want under 10ms", d)
+	}
 }
 
 func TestExprLogicAndComparison(t *testing.T) {

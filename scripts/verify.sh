@@ -67,11 +67,16 @@ COUNT=2 BENCHTIME=0.3s scripts/bench.sh trace
 
 # The execution-engine-v2 gate: the oracle suite (the test-only tree
 # walker vs the bytecode VM over the corpus, the bug-sweep goldens, the
-# randomized scripts and every demo script) under the race detector,
-# then the paired same-run perf comparison (bytecode speedup,
-# proc-call allocs, F4/T1 no-regression).
+# randomized scripts and every demo script, and the compiled expression
+# path vs the test-only one-pass expression evaluator) under the race
+# detector, then a time-boxed fuzz of the expression compiler against
+# that oracle, then the paired same-run perf comparison (bytecode
+# speedup, proc-call allocs, F4/T1 no-regression).
 echo "== go test -race engine differential oracle"
-go test -race -count 1 -run 'TestOracle|TestDifferential|TestDemoScriptsEngineDifferential|TestVarRef|TestSpecialize|TestDispatchCache|TestExprCmd|TestProcCallAllocs' ./internal/tcl/
+go test -race -count 1 -run 'TestOracle|TestDifferential|TestDemoScriptsEngineDifferential|TestExprOracle|TestVarRef|TestSpecialize|TestDispatchCache|TestExprCmd|TestProcCallAllocs' ./internal/tcl/
+
+echo "== go test -fuzz FuzzExpr (15s)"
+go test -run '^$' -fuzz '^FuzzExpr$' -fuzztime 15s ./internal/tcl
 
 echo "== scripts/bench.sh tclvm"
 COUNT=2 BENCHTIME=0.3s scripts/bench.sh tclvm
