@@ -103,7 +103,7 @@ func TestServeLoad(t *testing.T) {
 		wg.Add(1)
 		go func(i int, c *client) {
 			defer wg.Done()
-			br := newLineReader(c.conn)
+			br := newReplyReader(c.conn)
 			for j := 0; j < linesPerSession-3; j++ {
 				if err := writeLine(c.conn, fmt.Sprintf("%%set v %d", i)); err != nil {
 					errs <- err
@@ -155,15 +155,15 @@ func TestServeLoad(t *testing.T) {
 		sm.DispatchLatency.Max(), bytesPerSession)
 }
 
-// lineReader is a minimal blocking line reader with a deadline.
-type lineReader struct {
+// replyReader is a minimal blocking line reader with a deadline.
+type replyReader struct {
 	conn net.Conn
 	buf  []byte
 }
 
-func newLineReader(conn net.Conn) *lineReader { return &lineReader{conn: conn} }
+func newReplyReader(conn net.Conn) *replyReader { return &replyReader{conn: conn} }
 
-func (r *lineReader) read() (string, error) {
+func (r *replyReader) read() (string, error) {
 	_ = r.conn.SetReadDeadline(time.Now().Add(60 * time.Second))
 	chunk := make([]byte, 256)
 	for {

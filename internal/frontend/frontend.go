@@ -2,8 +2,10 @@ package frontend
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"io"
+	"os"
 	"strconv"
 	"strings"
 	"time"
@@ -123,11 +125,15 @@ func (f *Frontend) registerCommands() {
 
 // AttachApp wires the application program's stdio: appOut is the
 // backend's stdout (read for `%` command lines), appIn its stdin
-// (receives Wafe's echo output). The reader goroutine feeds the Xt
-// event loop through AddInputEvents, mirroring XtAppAddInput on the
-// pipe, and distinguishes three terminal conditions: clean EOF, a read
-// error, and an overlong line (which is skipped, not terminal at all).
-func (f *Frontend) AttachApp(appOut io.Reader, appIn io.Writer) {
+// (receives Wafe's echo output). appOut becomes the event loop's
+// input, mirroring XtAppAddInput on the pipe: the loop reads it itself
+// whenever nothing is posted, with no reader goroutine in between, so
+// read-ahead is bounded by the kernel's socket or pipe buffer. Three
+// conditions stay distinct: clean EOF, a read error, and an overlong
+// line (which is skipped, not terminal at all). A source without
+// read-deadline support fails as a read error; spawned backends on
+// platforms whose pipes take no deadlines come through pipeInput.
+func (f *Frontend) AttachApp(appOut xt.InputConn, appIn io.Writer) {
 	f.toApp = appIn
 	// Route the interpreter's output to the backend.
 	f.W.Interp.Stdout = func(line string) {
@@ -136,53 +142,112 @@ func (f *Frontend) AttachApp(appOut io.Reader, appIn io.Writer) {
 			_ = fl.Flush()
 		}
 	}
-	events := make(chan xt.InputEvent, 256)
-	go readCommandLines(appOut, f.Opts.LineLimit+4096, events)
-	f.W.App.AddInputEvents(events, f.handleInputEvent)
+	lr := newLineReader(appOut, f.Opts.LineLimit+4096)
+	if err := f.W.App.SetInput(appOut, func() bool { return f.readStep(lr) }); err != nil {
+		f.W.App.Post(func() { f.readFailed(err) })
+	}
 }
 
-// readCommandLines reads the backend's stdout line by line and delivers
-// each as an InputEvent. A line longer than max bytes is truncated to
-// max and the remainder discarded up to its newline (skip-and-resync),
-// so one runaway line cannot end the session — the frontend rejects the
-// truncated prefix as overlong and the next line parses normally. A
-// read error is delivered as a terminal Err event, distinct from EOF
-// (the backend closing its stdout); bufio.Scanner conflated the two by
-// stopping silently, which made ErrTooLong and broken pipes look like a
-// clean backend exit. The reader's buffer is bufio's default size; a
-// longer line is assembled in buf as it arrives, up to max bytes.
-func readCommandLines(r io.Reader, max int, out chan<- xt.InputEvent) {
-	defer close(out)
-	br := bufio.NewReader(r)
-	var buf []byte
-	skipping := false
+// readStep is the input's read step, run on the event loop: it handles
+// one line, or the end of the command pipe. A read deadline (a pending
+// timer, or a Post waking the loop) only interrupts the wait.
+func (f *Frontend) readStep(lr *lineReader) bool {
+	line, err := lr.next()
+	switch {
+	case err == nil:
+		f.HandleAppLine(line)
+		return true
+	case errors.Is(err, os.ErrDeadlineExceeded):
+		return true
+	case err == io.EOF:
+		f.backendGone(nil)
+		return false
+	}
+	f.readFailed(err)
+	return false
+}
+
+// readFailed reports and counts a command-pipe read error, then ends
+// the backend as gone.
+func (f *Frontend) readFailed(err error) {
+	f.ReadErrors++
+	if m := f.W.Metrics; m != nil {
+		m.Frontend.ReadErrors.Inc()
+	}
+	fmt.Fprintf(f.Terminal, "wafe: read error on command pipe: %v\n", err)
+	f.backendGone(err)
+}
+
+// lineReader splits the backend's stdout into protocol lines. A line
+// longer than max bytes is truncated to max and the remainder
+// discarded up to its newline (skip-and-resync), so one runaway line
+// cannot end the session — the frontend rejects the truncated prefix
+// as overlong and the next line parses normally. The bufio buffer is
+// the default size; a longer line is assembled in buf as it arrives,
+// up to max bytes, and a line interrupted by a read deadline stays in
+// buf until a later call completes it.
+type lineReader struct {
+	br       *bufio.Reader
+	max      int
+	buf      []byte
+	skipping bool
+	err      error // sticky io.EOF or read error
+}
+
+func newLineReader(r io.Reader, max int) *lineReader {
+	return &lineReader{br: bufio.NewReader(r), max: max}
+}
+
+// next returns the next line. A read-deadline error
+// (os.ErrDeadlineExceeded) means no whole line has arrived yet. io.EOF
+// means the source closed cleanly; a final unterminated line is
+// delivered before it. Any other error is a read failure, kept distinct
+// from EOF (bufio.Scanner conflated the two by stopping silently, which
+// made ErrTooLong and broken pipes look like a clean backend exit). A
+// partial line before a failure is dropped: executing a truncated
+// command would be worse than losing it. EOF and failures are sticky.
+func (lr *lineReader) next() (string, error) {
+	if lr.err != nil {
+		return "", lr.err
+	}
 	for {
-		chunk, err := br.ReadSlice('\n')
-		if skipping {
-			// Discarding the tail of an overlong line.
-		} else if buf = append(buf, chunk...); len(buf) > max {
-			buf = buf[:max]
-			skipping = true
+		chunk, err := lr.br.ReadSlice('\n')
+		if err == nil && len(lr.buf) == 0 && !lr.skipping && len(chunk) <= lr.max {
+			// The whole line is in the bufio buffer.
+			return chopLine(chunk), nil
 		}
-		switch err {
-		case nil:
-			out <- xt.InputEvent{Line: chopLine(buf)}
-			buf, skipping = buf[:0], false
-		case bufio.ErrBufferFull:
+		if lr.skipping {
+			// Discarding the tail of an overlong line.
+		} else if lr.buf = append(lr.buf, chunk...); len(lr.buf) > lr.max {
+			lr.buf = lr.buf[:lr.max]
+			lr.skipping = true
+		}
+		switch {
+		case err == nil:
+			return lr.take(), nil
+		case err == bufio.ErrBufferFull:
 			// Mid-line: keep reading.
-		case io.EOF:
-			if len(buf) > 0 {
-				out <- xt.InputEvent{Line: chopLine(buf)}
+		case errors.Is(err, os.ErrDeadlineExceeded):
+			return "", err
+		case err == io.EOF:
+			lr.err = err
+			if len(lr.buf) > 0 {
+				return lr.take(), nil
 			}
-			out <- xt.InputEvent{EOF: true}
-			return
+			return "", err
 		default:
-			// A partial line before the error is dropped: executing a
-			// truncated command would be worse than losing it.
-			out <- xt.InputEvent{Err: err}
-			return
+			lr.err = err
+			lr.buf = lr.buf[:0]
+			return "", err
 		}
 	}
+}
+
+// take returns the assembled line and resets for the next one.
+func (lr *lineReader) take() string {
+	line := chopLine(lr.buf)
+	lr.buf, lr.skipping = lr.buf[:0], false
+	return line
 }
 
 // chopLine strips the line terminator (\n, optionally preceded by \r)
@@ -195,24 +260,6 @@ func chopLine(b []byte) string {
 		}
 	}
 	return string(b)
-}
-
-// handleInputEvent runs on the event-loop goroutine for every delivery
-// from the command pipe.
-func (f *Frontend) handleInputEvent(ev xt.InputEvent) {
-	switch {
-	case ev.Err != nil:
-		f.ReadErrors++
-		if m := f.W.Metrics; m != nil {
-			m.Frontend.ReadErrors.Inc()
-		}
-		fmt.Fprintf(f.Terminal, "wafe: read error on command pipe: %v\n", ev.Err)
-		f.backendGone(ev.Err)
-	case ev.EOF:
-		f.backendGone(nil)
-	default:
-		f.HandleAppLine(ev.Line)
-	}
 }
 
 // backendGone reacts to the end of the command pipe. Without a
@@ -314,33 +361,28 @@ func (f *Frontend) handleAppLine(line string, m *obs.Metrics) {
 
 // AttachMass wires the optional data channel: bytes read from r
 // accumulate until the configured byte count is reached, then the
-// transfer variable is set and the action script runs.
+// transfer variable is set and the action script runs. The data channel
+// keeps a reader goroutine of its own, which posts each chunk to the
+// event loop.
 func (f *Frontend) AttachMass(r io.Reader) {
-	chunks := make(chan string, 64)
 	go func() {
-		defer close(chunks)
 		buf := make([]byte, 8192)
 		for {
 			n, err := r.Read(buf)
 			if n > 0 {
-				chunks <- string(buf[:n])
+				chunk := string(buf[:n])
+				f.W.App.Post(func() { f.FeedMass(chunk) })
 			}
 			if err != nil {
 				return
 			}
 		}
 	}()
-	f.W.App.AddInput(chunks, func(chunk string, eof bool) {
-		if eof {
-			return
-		}
-		f.massBuf = append(f.massBuf, chunk...)
-		f.drainMass()
-	})
 }
 
-// FeedMass delivers data-channel bytes synchronously (tests and
-// benchmarks; AttachMass is the asynchronous production path).
+// FeedMass delivers data-channel bytes on the event loop: AttachMass's
+// reader posts each chunk to it, and tests and benchmarks call it
+// directly.
 func (f *Frontend) FeedMass(data string) {
 	f.massBuf = append(f.massBuf, data...)
 	f.drainMass()

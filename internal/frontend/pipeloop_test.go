@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"testing"
@@ -11,8 +12,33 @@ import (
 
 	"wafe/internal/core"
 	"wafe/internal/frontend/faultio"
-	"wafe/internal/xt"
 )
+
+// fakeConn adapts a test reader that never blocks (strings.Reader, the
+// faultio readers) to the event loop's input type. Its reads return at
+// once, so there is never a blocked read for a deadline to interrupt;
+// data, EOF and read errors pass through unchanged, so EOF and a
+// failure stay distinct.
+type fakeConn struct{ io.Reader }
+
+func (fakeConn) SetReadDeadline(time.Time) error { return nil }
+
+// readAllLines drains lr the way the loop's read step does: deadline
+// errors only interrupt, any other error ends the input. It returns the
+// lines delivered and the terminal error.
+func readAllLines(lr *lineReader) ([]string, error) {
+	var lines []string
+	for {
+		line, err := lr.next()
+		switch {
+		case err == nil:
+			lines = append(lines, line)
+		case errors.Is(err, os.ErrDeadlineExceeded):
+		default:
+			return lines, err
+		}
+	}
+}
 
 // TestOverlongLineResync: a line exceeding the reader budget must be
 // reported and skipped, with the pipe loop resynchronizing at the next
@@ -67,7 +93,7 @@ func TestReadErrorReported(t *testing.T) {
 		N:   len("%echo before\n"),
 		Err: errors.New("injected pipe failure"),
 	}
-	f.AttachApp(r, appIn)
+	f.AttachApp(fakeConn{r}, appIn)
 	done := make(chan int, 1)
 	go func() { done <- f.W.App.MainLoop() }()
 	select {
@@ -102,7 +128,7 @@ func TestReadCommandLinesFragmented(t *testing.T) {
 	f := New(w, &Options{Prefix: '%', LineLimit: DefaultLineLimit}, term)
 	appIn := &syncBuffer{}
 	r := &faultio.ShortReader{R: strings.NewReader("%echo one\npassthrough line\n%echo two\n"), Max: 3}
-	f.AttachApp(r, appIn)
+	f.AttachApp(fakeConn{r}, appIn)
 	done := make(chan int, 1)
 	go func() { done <- f.W.App.MainLoop() }()
 	select {
@@ -174,23 +200,10 @@ func TestReadCommandLinesBoundaries(t *testing.T) {
 		src.WriteString(line + "\n")
 	}
 	for _, frag := range []int{1, 1000, 4096, 5000} {
-		events := make(chan xt.InputEvent, len(want)+1)
 		r := &faultio.ShortReader{R: strings.NewReader(src.String()), Max: frag}
-		go readCommandLines(r, DefaultLineLimit+4096, events)
-		var got []string
-		eof := false
-		for ev := range events {
-			switch {
-			case ev.Err != nil:
-				t.Fatalf("fragments of %d: read error %v", frag, ev.Err)
-			case ev.EOF:
-				eof = true
-			default:
-				got = append(got, ev.Line)
-			}
-		}
-		if !eof || len(got) != len(want) {
-			t.Fatalf("fragments of %d: %d lines, EOF %v; want %d lines, then EOF", frag, len(got), eof, len(want))
+		got, err := readAllLines(newLineReader(r, DefaultLineLimit+4096))
+		if err != io.EOF || len(got) != len(want) {
+			t.Fatalf("fragments of %d: %d lines, then %v; want %d lines, then EOF", frag, len(got), err, len(want))
 		}
 		for i := range want {
 			if got[i] != want[i] {
@@ -206,7 +219,7 @@ func TestReadCommandLinesBoundaries(t *testing.T) {
 	atLimit := "%set v " + strings.Repeat("x", DefaultLineLimit-len("%set v "))
 	pastBudget := "%set w " + strings.Repeat("y", DefaultLineLimit+4097-len("%set w "))
 	in := atLimit + "\n%echo [string length $v]\n" + pastBudget + "\n%echo resync\n"
-	f.AttachApp(&faultio.ShortReader{R: strings.NewReader(in), Max: 3000}, appIn)
+	f.AttachApp(fakeConn{&faultio.ShortReader{R: strings.NewReader(in), Max: 3000}}, appIn)
 	done := make(chan int, 1)
 	go func() { done <- f.W.App.MainLoop() }()
 	select {
@@ -223,5 +236,60 @@ func TestReadCommandLinesBoundaries(t *testing.T) {
 	}
 	if v, err := w.Eval("info exists w"); err != nil || v != "0" {
 		t.Errorf("info exists w = %q, %v; the overlong line must not be evaluated", v, err)
+	}
+}
+
+// noDeadlineConn is an input that cannot take read deadlines, like a
+// regular file or a blocking descriptor the runtime poller does not own.
+type noDeadlineConn struct{ io.Reader }
+
+func (noDeadlineConn) SetReadDeadline(time.Time) error { return os.ErrNoDeadline }
+
+// TestReadErrorOnInputWithoutDeadlines: the loop could neither time
+// out nor be woken in a read on an input without deadlines, so
+// attaching one fails as a command-pipe read error instead of parking
+// the loop there.
+func TestReadErrorOnInputWithoutDeadlines(t *testing.T) {
+	w := core.NewTest()
+	term := &syncBuffer{}
+	f := New(w, &Options{Prefix: '%', LineLimit: DefaultLineLimit}, term)
+	appIn := &syncBuffer{}
+	f.AttachApp(noDeadlineConn{strings.NewReader("%echo never-read\n")}, appIn)
+	done := make(chan int, 1)
+	go func() { done <- f.W.App.MainLoop() }()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("main loop did not quit on an input without deadlines")
+	}
+	if f.ReadErrors != 1 || appIn.String() != "" {
+		t.Errorf("ReadErrors = %d, backend stdin %q; want 1 and nothing read", f.ReadErrors, appIn.String())
+	}
+	if !strings.Contains(term.String(), "read error on command pipe") {
+		t.Errorf("read error not reported; terminal:\n%s", term.String())
+	}
+}
+
+// TestTimerDueEveryPassStillReadsInput: a timeout that re-arms itself
+// with 0 ms is due on every pass of the loop. The loop must still read
+// the command pipe on each pass, so the lines sent meanwhile, and the
+// final %quit, are all handled.
+func TestTimerDueEveryPassStillReadsInput(t *testing.T) {
+	f, appOut, appIn, term, cleanup := newPipedFrontend(t)
+	defer cleanup()
+	done := make(chan int, 1)
+	go func() { done <- f.W.App.MainLoop() }()
+	send(appOut, "%proc tick {} {addTimeOut 0 tick}\n%tick\n")
+	for i := 0; i < 20; i++ {
+		sendf(appOut, "%%echo line-%d\n", i)
+		if got, want := readLine(t, appIn), fmt.Sprintf("line-%d", i); got != want {
+			t.Fatalf("backend read %q, want %q; terminal:\n%s", got, want, term.String())
+		}
+	}
+	send(appOut, "%quit\n")
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the final quit line was never read while the timer re-armed itself")
 	}
 }

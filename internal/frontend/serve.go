@@ -322,7 +322,6 @@ func (srv *Server) runSession(ls *liveSession) {
 	}
 	srv.mu.Lock()
 	closing := srv.closed
-	delete(srv.sessions, sess.ID)
 	srv.mu.Unlock()
 	if closing {
 		reason = "shutdown"
@@ -333,6 +332,11 @@ func (srv *Server) runSession(ls *liveSession) {
 		sm.EndSession(sess.ID, reason)
 	}
 	srv.logf(sess.ID, "session ended (%s, exit %d)", reason, code)
+	// Leave the live set last, so a session no longer counted as active
+	// has also been recorded as ended.
+	srv.mu.Lock()
+	delete(srv.sessions, sess.ID)
+	srv.mu.Unlock()
 }
 
 // Shutdown gracefully stops the server: the listener closes, every

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -484,4 +485,41 @@ func TestServeMetricsDumpKeyedBySession(t *testing.T) {
 			t.Errorf("SessionErrors[%s] = %d, want 1", id, got)
 		}
 	}
+}
+
+// TestServeOneGoroutinePerSession: a live serve session costs one
+// goroutine, its event loop, which reads the connection itself. A
+// reader goroutine plus an input forwarder per session would add two
+// more each.
+func TestServeOneGoroutinePerSession(t *testing.T) {
+	const sessions, slack = 64, 8
+	srv, _ := startServer(t, ServeConfig{MaxSessions: sessions})
+	settle := func(atMost int) int {
+		deadline := time.Now().Add(5 * time.Second)
+		for {
+			n := runtime.NumGoroutine()
+			if n <= atMost || time.Now().After(deadline) {
+				return n
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+	}
+	base := runtime.NumGoroutine()
+	clients := make([]*client, sessions)
+	for i := range clients {
+		clients[i] = dialServe(t, srv)
+		clients[i].send("%echo up")
+		if got := clients[i].readLine(); got != "up" {
+			t.Fatalf("session %s: echo = %q, want \"up\"", clients[i].id, got)
+		}
+	}
+	n := settle(base + sessions + slack)
+	if n > base+sessions+slack {
+		t.Errorf("%d live sessions added %d goroutines, want at most %d", sessions, n-base, sessions+slack)
+	}
+	t.Logf("%d live sessions added %d goroutines", sessions, n-base)
+	for _, c := range clients {
+		c.send("%quit")
+	}
+	waitDrained(t, srv)
 }

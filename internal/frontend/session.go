@@ -3,6 +3,7 @@ package frontend
 import (
 	"fmt"
 	"io"
+	"net"
 	"os"
 	"runtime/debug"
 	"strconv"
@@ -129,12 +130,12 @@ func (s *Session) LoadResources(resources string, xrm []string) error {
 	return nil
 }
 
-// AttachConn wires a bidirectional stream (a serve-mode connection) as
-// the session's backend: lines read from rw are command lines, the
-// interpreter's output is written back, and the InitCom resource is
-// delivered first, exactly as after a fork.
-func (s *Session) AttachConn(rw io.ReadWriter) {
-	s.F.AttachApp(rw, rw)
+// AttachConn wires a serve-mode connection as the session's backend:
+// lines read from conn are command lines, the interpreter's output is
+// written back, and the InitCom resource is delivered first, exactly
+// as after a fork.
+func (s *Session) AttachConn(conn net.Conn) {
+	s.F.AttachApp(conn, conn)
 	s.F.SendInitCom()
 }
 

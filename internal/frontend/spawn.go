@@ -36,6 +36,7 @@ type Child struct {
 	Transport IPC
 
 	massRead *os.File
+	out      *os.File  // parent's read end of the child's stdout
 	conn     *os.File  // parent end of a socketpair transport, if any
 	stdin    io.Closer // parent's write end of the child's stdin (pipe transport)
 
@@ -58,8 +59,8 @@ func (f *Frontend) SpawnIPC(program string, args []string, ipc IPC) (*Child, err
 	cmd := exec.Command(program, args...)
 	cmd.Stderr = os.Stderr
 
-	var appOut io.Reader // child stdout → frontend
-	var appIn io.Writer  // frontend → child stdin
+	var appOut *os.File // child stdout → frontend
+	var appIn io.Writer // frontend → child stdin
 	var stdinCloser io.Closer
 	var closeAfterStart []*os.File
 	var parentConn *os.File
@@ -84,10 +85,14 @@ func (f *Frontend) SpawnIPC(program string, args []string, ipc IPC) (*Child, err
 		if err != nil {
 			return nil, fmt.Errorf("wafe: stdin pipe: %v", err)
 		}
-		stdout, err := cmd.StdoutPipe()
+		// An os.Pipe read end, unlike cmd.StdoutPipe's, is the
+		// parent's own file: loopInput hands it to the event loop.
+		stdout, stdoutW, err := os.Pipe()
 		if err != nil {
 			return nil, fmt.Errorf("wafe: stdout pipe: %v", err)
 		}
+		cmd.Stdout = stdoutW
+		closeAfterStart = append(closeAfterStart, stdoutW)
 		appIn = stdin
 		appOut = stdout
 		stdinCloser = stdin
@@ -101,21 +106,22 @@ func (f *Frontend) SpawnIPC(program string, args []string, ipc IPC) (*Child, err
 	if err := cmd.Start(); err != nil {
 		massRead.Close()
 		massWrite.Close()
+		appOut.Close()
 		for _, c := range closeAfterStart {
 			c.Close()
 		}
 		return nil, fmt.Errorf("wafe: cannot start %q: %v", program, err)
 	}
-	// The parent keeps neither the child's socket end nor the mass
-	// write end.
+	// The parent keeps neither the child's ends nor the mass write
+	// end.
 	massWrite.Close()
 	for _, c := range closeAfterStart {
 		c.Close()
 	}
-	f.AttachApp(appOut, appIn)
+	f.AttachApp(loopInput(appOut), appIn)
 	f.AttachMass(massRead)
 	f.SendInitCom()
-	return &Child{Cmd: cmd, Transport: used, massRead: massRead, conn: parentConn, stdin: stdinCloser}, nil
+	return &Child{Cmd: cmd, Transport: used, massRead: massRead, out: appOut, conn: parentConn, stdin: stdinCloser}, nil
 }
 
 // Wait reaps the child; safe to call any number of times and from
@@ -125,9 +131,7 @@ func (c *Child) Wait() error {
 	c.waitOnce.Do(func() {
 		c.waitErr = c.Cmd.Wait()
 		c.massRead.Close()
-		if c.conn != nil {
-			c.conn.Close()
-		}
+		c.out.Close()
 	})
 	return c.waitErr
 }

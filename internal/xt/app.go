@@ -2,6 +2,7 @@ package xt
 
 import (
 	"fmt"
+	"io"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -19,10 +20,6 @@ type windowKey struct {
 // WorkProc is a background procedure run when the event loop is idle
 // (XtAppAddWorkProc). Returning true removes it.
 type WorkProc func() bool
-
-// InputHandler receives lines from an alternate input source
-// (XtAppAddInput). eof is true exactly once, after the source closes.
-type InputHandler func(line string, eof bool)
 
 // App is the application context (XtAppContext): displays, the resource
 // database, converters, global actions, timeouts, alternate inputs and
@@ -58,6 +55,18 @@ type App struct {
 	works  []WorkProc
 	nextID int
 
+	// input is the alternate input the loop reads while nothing is
+	// posted (SetInput); nil when none is attached. idleTimer bounds
+	// the wait without one. Both are loop-owned.
+	input     *input
+	idleTimer *time.Timer
+
+	// wakeMu guards blocked and the input's deadline. blocked is the
+	// input while the loop is in, or about to enter, a read that Post
+	// may interrupt; Post wakes the loop through it.
+	wakeMu  sync.Mutex
+	blocked *input
+
 	quit     bool
 	quitCode int
 
@@ -81,7 +90,7 @@ type App struct {
 	// obs, when non-nil, collects event-dispatch latency, queue depths
 	// and callback/action firings. Nil (the default) keeps the
 	// dispatch paths at a single atomic pointer load. Atomic because
-	// Post is called from input-reader goroutines while observability
+	// Post is called from other goroutines while observability
 	// may be enabled on the loop goroutine mid-session.
 	obs atomic.Pointer[obs.XtMetrics]
 	// displayObs is handed to every display attached to the app, so
@@ -381,7 +390,8 @@ func (app *App) Pump() {
 	}
 }
 
-// Post schedules fn to run on the event-loop goroutine.
+// Post schedules fn to run on the event-loop goroutine, waking the
+// loop if it is blocked reading its input.
 func (app *App) Post(fn func()) {
 	if m := app.obs.Load(); m != nil {
 		m.PostedQueueDepth.Observe(int64(len(app.posted)))
@@ -389,7 +399,7 @@ func (app *App) Post(fn func()) {
 	select {
 	case app.posted <- fn:
 	default:
-		// Queue full. A blocking send is correct from reader
+		// Queue full. A blocking send is correct from other
 		// goroutines, which may legitimately outpace the loop — but on
 		// the loop goroutine itself (a callback or timer posting) it
 		// would wait on the only goroutine able to drain the queue.
@@ -399,8 +409,12 @@ func (app *App) Post(fn func()) {
 			fn()
 			return
 		}
+		// Wake first: a loop parked in its input read would never
+		// drain the queue this send waits on.
+		app.wake()
 		app.posted <- fn
 	}
+	app.wake()
 }
 
 // --- timeouts ----------------------------------------------------------------
@@ -424,11 +438,13 @@ func (app *App) AddTimeout(d time.Duration, fn func()) *Timer {
 // Remove cancels the timer (XtRemoveTimeOut).
 func (t *Timer) Remove() { t.removed = true }
 
-// runDueTimers fires expired timers; returns the wait until the next
-// deadline (or a park interval when none).
-func (app *App) runDueTimers() time.Duration {
+// runDueTimers fires expired timers and returns the earliest pending
+// deadline (zero when none) and whether any timer fired.
+func (app *App) runDueTimers() (next time.Time, fired bool) {
+	if len(app.timers) == 0 {
+		return time.Time{}, false
+	}
 	now := time.Now()
-	next := 50 * time.Millisecond
 	var keep []*Timer
 	var due []*Timer
 	for _, t := range app.timers {
@@ -438,8 +454,8 @@ func (app *App) runDueTimers() time.Duration {
 			due = append(due, t)
 		default:
 			keep = append(keep, t)
-			if d := t.deadline.Sub(now); d < next {
-				next = d
+			if next.IsZero() || t.deadline.Before(next) {
+				next = t.deadline
 			}
 		}
 	}
@@ -453,49 +469,132 @@ func (app *App) runDueTimers() time.Duration {
 		}
 		t.fn()
 	}
-	if len(due) > 0 {
-		return 0
+	return next, len(due) > 0
+}
+
+// --- alternate input ----------------------------------------------------------
+
+// InputConn is a stream the event loop waits on itself: a Read blocked
+// on it returns early, with an os.ErrDeadlineExceeded error, once its
+// read deadline passes. net.Conn and pollable *os.File pipes and
+// sockets satisfy it.
+type InputConn interface {
+	io.Reader
+	SetReadDeadline(t time.Time) error
+}
+
+// input is the alternate input registered with SetInput.
+type input struct {
+	conn InputConn
+	read func() bool
+	// deadline is the read deadline last set on conn (zero: none).
+	// Guarded by App.wakeMu: Post's wake-up sets it too.
+	deadline time.Time
+}
+
+// wakeDeadline is the read deadline Post sets to wake a blocked loop:
+// any instant in the past interrupts the read at once.
+var wakeDeadline = time.Unix(0, 1)
+
+// SetInput registers conn as the loop's alternate input
+// (XtAppAddInput on the pipe from the application program). Whenever
+// nothing is posted, MainLoop calls read, which blocks in a Read on
+// conn and handles what arrives, reading ahead no further than the
+// kernel's socket or pipe buffer lets the peer write. Every pass of
+// the loop calls read once, so timers and posts cannot starve the
+// input. The loop sets a read deadline when a timer or work proc is
+// pending, at least inputPoll ahead, and Post sets one in the past to
+// wake it, so read must treat os.ErrDeadlineExceeded as "nothing yet"
+// and keep any partial data for its next call. read returns false once the input is finished
+// (EOF or a read error), which detaches it; the loop then waits on
+// posts and timers alone. SetInput replaces any earlier input and
+// runs on the loop goroutine or before MainLoop starts. It fails,
+// registering nothing, when conn does not support read deadlines.
+func (app *App) SetInput(conn InputConn, read func() bool) error {
+	if err := conn.SetReadDeadline(time.Time{}); err != nil {
+		return err
 	}
-	return next
+	app.input = &input{conn: conn, read: read}
+	return nil
 }
 
-// --- alternate inputs ----------------------------------------------------------
+// inputPoll is the shortest wait the loop arms on its input. A Read
+// whose deadline has already passed fails before it reads anything, so
+// with no floor a timer due on every pass would keep the loop from ever
+// reading its input. A wait this short is a poll that Post does not
+// interrupt: a wake-up landing before every read would starve the input
+// the same way, and a posted closure waits at most this long. An idle
+// process's poller sleeps a millisecond at least in any case.
+const inputPoll = time.Millisecond
 
-// AddInput attaches a line-oriented input source: each line received on
-// ch is handed to handler on the event-loop goroutine; channel close
-// delivers eof. This is the frontend-mode hook (XtAppAddInput on the
-// pipe from the application program).
-func (app *App) AddInput(ch <-chan string, handler InputHandler) {
-	go func() {
-		for line := range ch {
-			l := line
-			app.Post(func() { handler(l, false) })
+// readInput runs one read step of the input with the given deadline
+// (zero: none) and reports whether the deadline passed with nothing
+// posted. Every call short of Quit gives the input one read attempt.
+func (app *App) readInput(in *input, deadline time.Time) bool {
+	poll := false
+	if !deadline.IsZero() {
+		if min := time.Now().Add(inputPoll); deadline.Before(min) {
+			deadline, poll = min, true
 		}
-		app.Post(func() { handler("", true) })
-	}()
+	}
+	app.arm(in, deadline, !poll)
+	// A Post that landed before arm found nothing to wake. Run it, then
+	// only poll the input: the closure may have queued events or timers
+	// for the next pass.
+	ran := app.runPosted()
+	if app.quit {
+		app.unblock()
+		return false
+	}
+	if ran && !poll {
+		deadline = time.Now().Add(inputPoll)
+		app.arm(in, deadline, false)
+	}
+	more := in.read()
+	app.unblock()
+	if !more && app.input == in {
+		app.input = nil
+	}
+	return !ran && !deadline.IsZero() && !time.Now().Before(deadline)
 }
 
-// InputEvent is one delivery from an error-aware input source: a line,
-// or a terminal condition — EOF (the source closed cleanly) or Err (the
-// read failed). Distinguishing the two is what lets the frontend tell a
-// backend that exited from a pipe that broke.
-type InputEvent struct {
-	Line string
-	EOF  bool
-	Err  error
+// arm sets the read deadline for the input's next read and whether a
+// Post may interrupt that read.
+func (app *App) arm(in *input, deadline time.Time, wakeable bool) {
+	app.wakeMu.Lock()
+	if !deadline.Equal(in.deadline) {
+		// A conn that cannot take the deadline is broken; the read
+		// reports that itself.
+		_ = in.conn.SetReadDeadline(deadline)
+		in.deadline = deadline
+	}
+	app.blocked = nil
+	if wakeable {
+		app.blocked = in
+	}
+	app.wakeMu.Unlock()
 }
 
-// AddInputEvents attaches an input source with error reporting: each
-// event received on ch is handed to handler on the event-loop
-// goroutine, in order. The producer sends a terminal EOF or Err event
-// and then closes ch.
-func (app *App) AddInputEvents(ch <-chan InputEvent, handler func(InputEvent)) {
-	go func() {
-		for ev := range ch {
-			e := ev
-			app.Post(func() { handler(e) })
-		}
-	}()
+func (app *App) unblock() {
+	app.wakeMu.Lock()
+	app.blocked = nil
+	app.wakeMu.Unlock()
+}
+
+// wake interrupts a loop blocked in (or about to enter) its input
+// read by moving the read deadline into the past. The next readInput
+// resets the deadline, so a wake-up that lands late costs one extra
+// iteration, not a spin. SetReadDeadline does not block; wakeMu
+// orders it against the loop's own arming, which would otherwise
+// overwrite the wake-up.
+func (app *App) wake() {
+	app.wakeMu.Lock()
+	if in := app.blocked; in != nil {
+		_ = in.conn.SetReadDeadline(wakeDeadline)
+		in.deadline = wakeDeadline
+		app.blocked = nil
+	}
+	app.wakeMu.Unlock()
 }
 
 // --- work procs -----------------------------------------------------------------
@@ -528,40 +627,93 @@ func (app *App) Quit(code int) {
 // Quitting reports whether Quit has been called.
 func (app *App) Quitting() bool { return app.quit }
 
-// MainLoop is XtAppMainLoop: dispatch X events, run posted input
-// closures, fire timers, and run work procs when idle, until Quit.
-// It returns the exit status passed to Quit.
+// workProcPark is the idle interval after which a pending work proc
+// runs.
+const workProcPark = 50 * time.Millisecond
+
+// MainLoop is XtAppMainLoop: dispatch X events, run posted closures,
+// fire timers, read the alternate input, and run work procs when idle,
+// until Quit. It returns the exit status passed to Quit. Every pass
+// gives the input a read attempt and runs what is posted, so neither
+// timers nor posts can starve the other sources.
 func (app *App) MainLoop() int {
 	app.loopGoID.Store(goid())
 	defer app.loopGoID.Store(0)
 	for !app.quit {
 		app.Pump()
-		wait := app.runDueTimers()
+		deadline, fired := app.runDueTimers()
 		if app.quit {
 			break
 		}
-		select {
-		case fn := <-app.posted:
-			fn()
-			app.drainPosted()
-		case <-time.After(wait):
-			if !app.runOneWorkProc() {
-				continue
+		if fired {
+			// Timers ran: only poll, since they may have queued events.
+			deadline = time.Now()
+		} else if len(app.works) > 0 {
+			if park := time.Now().Add(workProcPark); deadline.IsZero() || park.Before(deadline) {
+				deadline = park
 			}
+		}
+		var timedOut bool
+		if in := app.input; in != nil {
+			timedOut = app.readInput(in, deadline)
+		} else {
+			timedOut = app.idle(deadline)
+		}
+		if timedOut {
+			app.runOneWorkProc()
 		}
 	}
 	app.Pump()
 	return app.quitCode
 }
 
-// drainPosted runs every immediately-available posted closure.
-func (app *App) drainPosted() {
+// idle waits without an input for a posted closure or the deadline
+// (zero: none) and reports whether the deadline passed with nothing
+// posted. One timer is reused across waits; go.mod's go 1.22 line
+// selects the pre-1.23 buffered timer channel, so a timer stopped after
+// firing holds a value that must be drained before the next Reset.
+func (app *App) idle(deadline time.Time) bool {
+	if deadline.IsZero() {
+		fn := <-app.posted
+		fn()
+		app.runPosted()
+		return false
+	}
+	d := time.Until(deadline)
+	if d <= 0 {
+		return !app.runPosted()
+	}
+	t := app.idleTimer
+	if t == nil {
+		t = time.NewTimer(d)
+		app.idleTimer = t
+	} else {
+		t.Reset(d)
+	}
+	select {
+	case fn := <-app.posted:
+		if !t.Stop() {
+			<-t.C
+		}
+		fn()
+		app.runPosted()
+		return false
+	case <-t.C:
+		return true
+	}
+}
+
+// runPosted runs every immediately-available posted closure and
+// reports whether there was any.
+func (app *App) runPosted() bool {
+	ran := false
 	for {
 		select {
 		case fn := <-app.posted:
 			fn()
+			ran = true
 		default:
-			return
+			return ran
 		}
 	}
 }

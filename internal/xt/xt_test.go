@@ -553,12 +553,13 @@ func TestTimeouts(t *testing.T) {
 	}
 }
 
+// TestAddInputDeliversLines: the loop reads its input itself and hands
+// each line to the read step, then EOF once the writer closes.
 func TestAddInputDeliversLines(t *testing.T) {
 	app := NewTestApp("wafe")
-	ch := make(chan string, 4)
 	var got []string
 	var sawEOF bool
-	app.AddInput(ch, func(line string, eof bool) {
+	in := pipeInput(t, app, func(line string, eof bool) {
 		if eof {
 			sawEOF = true
 			app.Quit(0)
@@ -566,9 +567,8 @@ func TestAddInputDeliversLines(t *testing.T) {
 		}
 		got = append(got, line)
 	})
-	ch <- "one"
-	ch <- "two"
-	close(ch)
+	in.WriteString("one\ntwo\n")
+	in.Close()
 	done := make(chan int, 1)
 	go func() { done <- app.MainLoop() }()
 	select {

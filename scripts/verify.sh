@@ -45,13 +45,23 @@ go test -race ./internal/tcl/ ./internal/core/ ./internal/xt/ ./internal/fronten
 # TestSession/TestServe cover session isolation, serve-mode lifecycle
 # (handshake, mid-command disconnect, crash respawn beside a live
 # sibling, graceful shutdown) and per-session metrics;
+# TestPostFrom/TestTimer cover the event loop blocked in its own input
+# read: Posts (also with the queue full) and timers must wake it, and
+# neither may starve the input; TestPipeInput covers the reader
+# goroutine that stands in for the poller where pipes take no read
+# deadlines;
 # TestTrace/TestRing/TestSpan cover concurrent span/event recording
 # against readers, and TestFlight the anomaly snapshots. Run by name
 # so a renamed test cannot silently drop out of the gate.
 echo "== go test -race fault injection + supervision + xrm concurrency + sessions + tracing"
 go test -race -count 1 \
-    -run 'TestSupervisor|TestShutdown|TestReadError|TestOverlong|TestPostFrom|TestPostFunnel|TestTimerRemoved|TestXrmConcurrent|TestSession|TestServe|TestTrace|TestRing|TestSpan|TestFlight' \
+    -run 'TestSupervisor|TestShutdown|TestReadError|TestOverlong|TestPipeInput|TestPostFrom|TestPostFunnel|TestTimer|TestXrmConcurrent|TestSession|TestServe|TestTrace|TestRing|TestSpan|TestFlight' \
     ./internal/xt/ ./internal/frontend/ ./internal/obs/
+
+# The protocol line reader against a reference split of the line-limit
+# rule, over arbitrary bytes, fragmentation and deadline wake-ups.
+echo "== go test -fuzz FuzzLineReader (15s)"
+go test -run '^$' -fuzz '^FuzzLineReader$' -fuzztime 15s ./internal/frontend
 
 # The serve-mode load harness at a reduced session count: full scale
 # (1024 sessions) runs in the bench gate; here 256 sessions under the
