@@ -9,6 +9,8 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"unicode"
+	"unicode/utf8"
 
 	"wafe/internal/xproto"
 	"wafe/internal/xt"
@@ -33,18 +35,100 @@ var BarGraphClass = &xt.Class{
 	Redisplay:     barGraphRedisplay,
 }
 
-// parseSeries parses whitespace-separated floats.
+// parseSeries parses whitespace-separated floats: the fields
+// strings.Fields finds, each converted as strconv.ParseFloat does.
 func parseSeries(s string) ([]float64, error) {
-	fields := strings.Fields(s)
-	out := make([]float64, 0, len(fields))
-	for _, f := range fields {
-		v, err := strconv.ParseFloat(f, 64)
+	return appendSeries(make([]float64, 0, countFields(s)), s)
+}
+
+// appendSeries appends the numbers of s to buf. On a bad field it
+// returns nil and the error.
+func appendSeries(buf []float64, s string) ([]float64, error) {
+	for i := 0; ; {
+		f, next := nextField(s, i)
+		if f == "" {
+			return buf, nil
+		}
+		v, err := parseNumber(f)
 		if err != nil {
 			return nil, fmt.Errorf("plotter: bad data point %q", f)
 		}
-		out = append(out, v)
+		buf = append(buf, v)
+		i = next
 	}
-	return out, nil
+}
+
+// countFields counts the whitespace-separated fields of s.
+func countFields(s string) int {
+	n := 0
+	for i := 0; ; n++ {
+		f, next := nextField(s, i)
+		if f == "" {
+			return n
+		}
+		i = next
+	}
+}
+
+// asciiSpace marks the ASCII bytes unicode.IsSpace reports.
+var asciiSpace = [utf8.RuneSelf]bool{'\t': true, '\n': true, '\v': true, '\f': true, '\r': true, ' ': true}
+
+// nextField returns the first field of s at or after byte i, as
+// strings.Fields splits (at unicode.IsSpace runes), and the index just
+// past it; the field is "" when none is left.
+func nextField(s string, i int) (field string, next int) {
+	for i < len(s) {
+		if c := s[i]; c < utf8.RuneSelf {
+			if !asciiSpace[c] {
+				break
+			}
+			i++
+		} else if r, n := utf8.DecodeRuneInString(s[i:]); unicode.IsSpace(r) {
+			i += n
+		} else {
+			break
+		}
+	}
+	start := i
+	for i < len(s) {
+		if c := s[i]; c < utf8.RuneSelf {
+			if asciiSpace[c] {
+				break
+			}
+			i++
+		} else if r, n := utf8.DecodeRuneInString(s[i:]); !unicode.IsSpace(r) {
+			i += n
+		} else {
+			break
+		}
+	}
+	return s[start:i], i
+}
+
+// parseNumber is strconv.ParseFloat(f, 64) with a fast path for the
+// decimal integers streamed data mostly is: up to 15 digits, so every
+// value is below 2^53 and converts exactly. f is not empty.
+func parseNumber(f string) (float64, error) {
+	digits := f
+	if f[0] == '-' || f[0] == '+' {
+		digits = f[1:]
+	}
+	if len(digits) == 0 || len(digits) > 15 {
+		return strconv.ParseFloat(f, 64)
+	}
+	var n int64
+	for i := 0; i < len(digits); i++ {
+		d := digits[i] - '0'
+		if d > 9 {
+			return strconv.ParseFloat(f, 64)
+		}
+		n = n*10 + int64(d)
+	}
+	v := float64(n)
+	if f[0] == '-' {
+		v = -v
+	}
+	return v, nil
 }
 
 // Values returns the widget's parsed data series.
@@ -144,16 +228,29 @@ var LineGraphClass = &xt.Class{
 
 // SeriesOf parses the multi-series data resource.
 func SeriesOf(w *xt.Widget) [][]float64 {
+	return seriesOf(w.Str("data"))
+}
+
+// seriesOf parses one series per line of data, skipping blank lines
+// and lines with a bad number. The series share one backing array,
+// sized by a counting pass.
+func seriesOf(data string) [][]float64 {
 	var out [][]float64
-	for _, line := range strings.Split(w.Str("data"), "\n") {
-		if strings.TrimSpace(line) == "" {
+	all := make([]float64, 0, countFields(data))
+	for rest := data; rest != ""; {
+		line := rest
+		if i := strings.IndexByte(rest, '\n'); i >= 0 {
+			line, rest = rest[:i], rest[i+1:]
+		} else {
+			rest = ""
+		}
+		start := len(all)
+		vs, err := appendSeries(all, line)
+		if err != nil || len(vs) == start {
 			continue
 		}
-		vs, err := parseSeries(line)
-		if err != nil || len(vs) == 0 {
-			continue
-		}
-		out = append(out, vs)
+		all = vs
+		out = append(out, all[start:len(all):len(all)])
 	}
 	return out
 }

@@ -14,9 +14,9 @@ import (
 // literal or reconstructible argument) compile to dedicated opcodes
 // that skip argv construction and the command table entirely.
 //
-// The compiler is purely syntactic and interpreter-independent, but
-// Programs are cached per interpreter (interp.progCache) because they
-// embed mutable inline dispatch caches.
+// The compiler is purely syntactic and interpreter-independent, but a
+// Program belongs to one interpreter because it embeds mutable inline
+// dispatch caches; it is kept on its Script for that interpreter.
 
 type op uint8
 
@@ -93,8 +93,11 @@ type progCmd struct {
 // Program is a compiled register-bytecode form of a Script.
 type Program struct {
 	script *Script
-	insns  []insn
-	cmds   []progCmd
+	// owner is the interpreter the Program was compiled for; its
+	// inline caches are valid only there.
+	owner *Interp
+	insns []insn
+	cmds  []progCmd
 
 	consts []Value
 	names  []string
@@ -107,9 +110,9 @@ type Program struct {
 	// vrefs are per-site variable-pointer caches, parallel to names:
 	// the site that reads or writes names[i] validates vrefs[i] against
 	// the current frame id and the interpreter's variable epoch. A
-	// Program belongs to exactly one interpreter (progCache is
-	// per-interp), which is what makes frame ids — unique only within
-	// one interpreter — a sound cache key.
+	// Program belongs to exactly one interpreter (owner), which is what
+	// makes frame ids — unique only within one interpreter — a sound
+	// cache key.
 	vrefs []varRef
 
 	// nregs is the register window size: the maximum word count of any
@@ -117,23 +120,19 @@ type Program struct {
 	nregs int
 }
 
-// progCacheMax bounds the per-interpreter Script->Program cache; when
-// it fills (only plausible with the source intern cache disabled), the
-// whole map is dropped and rebuilt on demand.
-const progCacheMax = 1024
-
-// program returns the cached Program for s, compiling on first use.
+// program returns the Program for s, compiling on first use. A Script
+// keeps the Program of the interpreter that first ran it; the slot is
+// claimed once, atomically, so a Script shared between interpreters
+// stays race-free, and any other interpreter compiles a private
+// Program per evaluation (its inline caches hold frame ids and command
+// generations that mean nothing elsewhere). A Program lives exactly as
+// long as its Script.
 func (in *Interp) program(s *Script) *Program {
-	if p, ok := in.progCache[s]; ok {
+	if p := s.prog.Load(); p != nil && p.owner == in {
 		return p
 	}
-	if in.progCache == nil {
-		in.progCache = make(map[*Script]*Program, 64)
-	} else if len(in.progCache) >= progCacheMax {
-		in.progCache = make(map[*Script]*Program, 64)
-	}
 	p := in.compileProgram(s)
-	in.progCache[s] = p
+	s.prog.CompareAndSwap(nil, p)
 	return p
 }
 
@@ -141,7 +140,7 @@ func (in *Interp) program(s *Script) *Program {
 // only emitted while set/incr/expr are known to be the builtins
 // (specialGen == specialBase); see the interp fields.
 func (in *Interp) compileProgram(s *Script) *Program {
-	p := &Program{script: s}
+	p := &Program{script: s, owner: in}
 	c := &progCompiler{in: in, p: p, specialize: in.specialGen == in.specialBase}
 	for _, cmd := range s.cmds {
 		c.compileCommand(cmd)

@@ -167,8 +167,11 @@ type Interp struct {
 
 	// scriptCache interns compiled scripts by source string, so that
 	// repeatedly evaluated callbacks and bodies compile once. A nil
-	// cache disables interning (SetScriptCacheSize(0)).
+	// cache disables interning (SetScriptCacheSize(0)). doorkeeper
+	// holds the hashes of sources seen once: a source is interned only
+	// on its second sighting (compileCached).
 	scriptCache *lruCache
+	doorkeeper  *[doorkeeperSize]uint64
 	// exprCache interns compiled expression ASTs by source string.
 	exprCache *lruCache
 
@@ -213,11 +216,6 @@ type Interp struct {
 	// generic dispatch.
 	specialGen  uint64
 	specialBase uint64
-
-	// progCache maps compiled Scripts to their bytecode Programs. It is
-	// per-interpreter (Programs embed interpreter-local inline caches)
-	// and is flushed wholesale when it grows past progCacheMax.
-	progCache map[*Script]*Program
 
 	// framePool and regPool recycle proc call frames and VM register
 	// files (arena-style: grab on entry, release on exit).

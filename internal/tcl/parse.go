@@ -249,24 +249,81 @@ func (p *parser) parseBracedWord() (word, error) {
 	return word{}, p.errAt(open, "missing close-brace")
 }
 
+// literal accumulates the text of one literal token. While the token
+// is a single piece (one run of ordinary source bytes, or one
+// backslash substitution) its text is that piece, with no copy; a
+// token assembled from several pieces is copied once per piece.
+type literal struct {
+	text  string
+	b     strings.Builder
+	multi bool
+	pos   int // byte offset of the token's first character
+}
+
+// add appends piece, which starts at byte offset pos of the source.
+func (l *literal) add(pos int, piece string) {
+	switch {
+	case l.multi:
+		l.b.WriteString(piece)
+	case l.text == "":
+		l.text, l.pos = piece, pos
+	default:
+		l.b.Grow(2 * (len(l.text) + len(piece)))
+		l.b.WriteString(l.text)
+		l.b.WriteString(piece)
+		l.multi = true
+	}
+}
+
+// flush appends the accumulated token, if any, to toks and empties l.
+func (l *literal) flush(toks []token) []token {
+	text := l.text
+	if l.multi {
+		text = l.b.String()
+		l.b, l.multi = strings.Builder{}, false
+	}
+	l.text = ""
+	if text == "" {
+		return toks
+	}
+	return append(toks, token{kind: tokText, text: text, pos: l.pos})
+}
+
+// quotedRunEnd returns the end of the run of ordinary bytes of a
+// quoted word starting at i: the next '"', '\\', '$' or '['.
+func quotedRunEnd(src string, i int) int {
+	for ; i < len(src); i++ {
+		switch src[i] {
+		case '"', '\\', '$', '[':
+			return i
+		}
+	}
+	return i
+}
+
+// bareRunEnd returns the end of the run of ordinary bytes of a bare
+// word starting at i: the next word or command separator, '\\', '$'
+// or '['. An open brace inside a bare word is literal in Tcl.
+func bareRunEnd(src string, i int) int {
+	for ; i < len(src); i++ {
+		switch src[i] {
+		case ' ', '\t', '\n', '\r', ';', '\\', '$', '[':
+			return i
+		}
+	}
+	return i
+}
+
 func (p *parser) parseQuotedWord() (word, error) {
 	open := p.pos
 	p.pos++ // consume opening quote
 	var toks []token
-	var lit strings.Builder
-	litStart := p.pos
-	flush := func() {
-		if lit.Len() > 0 {
-			toks = append(toks, token{kind: tokText, text: lit.String(), pos: litStart})
-			lit.Reset()
-		}
-	}
+	var lit literal
 	for !p.atEnd() {
-		c := p.peek()
-		switch c {
+		switch p.peek() {
 		case '"':
 			p.pos++
-			flush()
+			toks = lit.flush(toks)
 			if !p.atEnd() {
 				c := p.peek()
 				if c != ' ' && c != '\t' && c != '\n' && c != '\r' && c != ';' {
@@ -275,36 +332,30 @@ func (p *parser) parseQuotedWord() (word, error) {
 			}
 			return word{tokens: toks}, nil
 		case '\\':
-			if lit.Len() == 0 {
-				litStart = p.pos
-			}
+			at := p.pos
 			s, err := p.parseBackslash()
 			if err != nil {
 				return word{}, err
 			}
-			lit.WriteString(s)
+			lit.add(at, s)
 		case '$':
-			flush()
+			toks = lit.flush(toks)
 			t, err := p.parseVarToken()
 			if err != nil {
 				return word{}, err
 			}
 			toks = append(toks, t)
-			litStart = p.pos
 		case '[':
-			flush()
+			toks = lit.flush(toks)
 			t, err := p.parseCommandToken()
 			if err != nil {
 				return word{}, err
 			}
 			toks = append(toks, t)
-			litStart = p.pos
 		default:
-			if lit.Len() == 0 {
-				litStart = p.pos
-			}
-			lit.WriteByte(c)
-			p.pos++
+			at := p.pos
+			p.pos = quotedRunEnd(p.src, p.pos)
+			lit.add(at, p.src[at:p.pos])
 		}
 	}
 	return word{}, p.errAt(open, "missing closing quote")
@@ -312,66 +363,42 @@ func (p *parser) parseQuotedWord() (word, error) {
 
 func (p *parser) parseBareWord() (word, error) {
 	var toks []token
-	var lit strings.Builder
-	litStart := p.pos
-	flush := func() {
-		if lit.Len() > 0 {
-			toks = append(toks, token{kind: tokText, text: lit.String(), pos: litStart})
-			lit.Reset()
-		}
-	}
+	var lit literal
 	for !p.atEnd() {
-		c := p.peek()
-		switch {
-		case c == ' ' || c == '\t' || c == '\n' || c == '\r' || c == ';':
-			flush()
-			return word{tokens: toks}, nil
-		case c == '\\':
+		switch p.peek() {
+		case ' ', '\t', '\n', '\r', ';':
+			return word{tokens: lit.flush(toks)}, nil
+		case '\\':
 			if p.pos+1 < len(p.src) && p.src[p.pos+1] == '\n' {
-				flush()
-				return word{tokens: toks}, nil
+				return word{tokens: lit.flush(toks)}, nil
 			}
-			if lit.Len() == 0 {
-				litStart = p.pos
-			}
+			at := p.pos
 			s, err := p.parseBackslash()
 			if err != nil {
 				return word{}, err
 			}
-			lit.WriteString(s)
-		case c == '$':
-			flush()
+			lit.add(at, s)
+		case '$':
+			toks = lit.flush(toks)
 			t, err := p.parseVarToken()
 			if err != nil {
 				return word{}, err
 			}
 			toks = append(toks, t)
-			litStart = p.pos
-		case c == '[':
-			flush()
+		case '[':
+			toks = lit.flush(toks)
 			t, err := p.parseCommandToken()
 			if err != nil {
 				return word{}, err
 			}
 			toks = append(toks, t)
-			litStart = p.pos
-		case c == '{':
-			// An open brace inside a bare word is literal in Tcl.
-			if lit.Len() == 0 {
-				litStart = p.pos
-			}
-			lit.WriteByte(c)
-			p.pos++
 		default:
-			if lit.Len() == 0 {
-				litStart = p.pos
-			}
-			lit.WriteByte(c)
-			p.pos++
+			at := p.pos
+			p.pos = bareRunEnd(p.src, p.pos)
+			lit.add(at, p.src[at:p.pos])
 		}
 	}
-	flush()
-	return word{tokens: toks}, nil
+	return word{tokens: lit.flush(toks)}, nil
 }
 
 // parseBackslash interprets a backslash escape starting at p.pos

@@ -2,7 +2,9 @@ package tcl
 
 import (
 	"fmt"
+	"hash/maphash"
 	"strings"
+	"sync/atomic"
 	"time"
 
 	"wafe/internal/obs"
@@ -35,6 +37,10 @@ type Script struct {
 	// parseErrOff is the byte offset of the parse error in Source
 	// (valid only when parseErr != nil).
 	parseErrOff int
+
+	// prog is the bytecode Program of the first interpreter that ran
+	// the Script (see Interp.program).
+	prog atomic.Pointer[Program]
 }
 
 // ParseErrorInfo reports the parse error recorded on the script, if
@@ -124,6 +130,17 @@ const (
 	defaultExprCacheSize   = 256
 )
 
+// doorkeeperSize is the number of source hashes the script cache's
+// admission filter remembers. A source is interned only when its hash
+// is still there at its second sighting, so it is sized to the reuse
+// distance of repeating sources (a callback, a loop body, a backend's
+// fixed command lines) amid the unique data lines a streaming backend
+// sends between them.
+const doorkeeperSize = 256
+
+// doorkeeperSeed is the process-wide seed of the admission hashes.
+var doorkeeperSeed = maphash.MakeSeed()
+
 // lruEntry is one node of the cache's recency list.
 type lruEntry struct {
 	key        string
@@ -205,8 +222,10 @@ func (c *lruCache) len() int { return len(c.m) }
 // SetScriptCacheSize resizes the compiled-script intern cache. A size
 // of zero (or less) disables caching entirely, so every Eval compiles
 // fresh — the knob the differential tests use to compare the cached
-// and uncached paths. Resizing clears the cache.
+// and uncached paths. Resizing clears the cache and its admission
+// filter.
 func (in *Interp) SetScriptCacheSize(n int) {
+	in.doorkeeper = nil
 	if n <= 0 {
 		in.scriptCache = nil
 		return
@@ -234,7 +253,11 @@ func (in *Interp) ScriptCacheLen() int {
 }
 
 // compileCached returns the interned Script for src, compiling it on a
-// cache miss.
+// cache miss. A miss is interned only on the source's second sighting
+// (TinyLFU's doorkeeper admission: Einziger, Friedman and Manes, ACM
+// TOS 2017): the doorkeeper is a direct-mapped table of source hashes,
+// so a data line a backend sends once is compiled, run and dropped
+// without evicting a script that repeats.
 func (in *Interp) compileCached(src string) *Script {
 	if in.scriptCache == nil || len(src) > maxCachedSrcLen {
 		return compileScript(src)
@@ -249,7 +272,16 @@ func (in *Interp) compileCached(src string) *Script {
 		m.ScriptCacheMisses.Inc()
 	}
 	s := compileScript(src)
-	in.scriptCache.put(src, s)
+	if in.doorkeeper == nil {
+		in.doorkeeper = new([doorkeeperSize]uint64)
+	}
+	h := maphash.String(doorkeeperSeed, src)
+	slot := &in.doorkeeper[h%doorkeeperSize]
+	if *slot == h {
+		in.scriptCache.put(src, s)
+	} else {
+		*slot = h
+	}
 	return s
 }
 

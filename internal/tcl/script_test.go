@@ -1,6 +1,7 @@
 package tcl
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -114,23 +115,39 @@ func TestCompileMalformedScript(t *testing.T) {
 	wantEval(t, in, "set ran", "yes")
 }
 
+// TestScriptCacheInterning: the intern cache admits a source on its
+// second sighting, so a one-shot line never occupies (or evicts from)
+// the LRU, while a repeating one is interned from its second run.
 func TestScriptCacheInterning(t *testing.T) {
 	in := New()
 	in.SetScriptCacheSize(4)
 	evalOK(t, in, "set x 1")
-	if in.ScriptCacheLen() == 0 {
-		t.Fatal("expected the evaluated script to be interned")
+	if n := in.ScriptCacheLen(); n != 0 {
+		t.Fatalf("first sighting interned: cache holds %d entries", n)
 	}
-	// The cache is LRU-bounded: distinct sources beyond the capacity
-	// evict, they do not grow the cache.
+	evalOK(t, in, "set x 1")
+	if n := in.ScriptCacheLen(); n != 1 {
+		t.Fatalf("second sighting: cache holds %d entries, want 1", n)
+	}
+	// One-shot sources leave the interned one alone.
+	for i := 0; i < 100; i++ {
+		evalOK(t, in, fmt.Sprintf("set y %d", i))
+	}
+	if n := in.ScriptCacheLen(); n != 1 {
+		t.Fatalf("after 100 one-shot sources: cache holds %d entries, want 1", n)
+	}
+	// The cache is LRU-bounded: distinct repeating sources beyond the
+	// capacity evict, they do not grow the cache.
 	for _, src := range []string{"set a 1", "set b 2", "set c 3", "set d 4", "set e 5", "set f 6"} {
 		evalOK(t, in, src)
+		evalOK(t, in, src)
 	}
-	if n := in.ScriptCacheLen(); n > 4 {
-		t.Fatalf("cache grew to %d entries, capacity is 4", n)
+	if n := in.ScriptCacheLen(); n != 4 {
+		t.Fatalf("cache holds %d entries, want its capacity 4", n)
 	}
 	// Size zero disables interning but evaluation still works.
 	in.SetScriptCacheSize(0)
+	wantEval(t, in, "set x 2", "2")
 	wantEval(t, in, "set x 2", "2")
 	if n := in.ScriptCacheLen(); n != 0 {
 		t.Fatalf("disabled cache holds %d entries", n)

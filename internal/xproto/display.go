@@ -48,7 +48,7 @@ type Display struct {
 
 	// Display list of drawing operations, grouped per window, used for
 	// snapshots and assertions.
-	drawLog map[WindowID][]DrawOp
+	drawLog map[WindowID]*[]DrawOp
 
 	// damage accumulates per-window dirty regions; FlushDamage converts
 	// each into coalesced Expose events when the event queue drains.
@@ -144,7 +144,7 @@ func newDisplay(name string) *Display {
 		nextID:     2,
 		keymap:     DefaultKeymap(),
 		selections: make(map[string]*selection),
-		drawLog:    make(map[WindowID][]DrawOp),
+		drawLog:    make(map[WindowID]*[]DrawOp),
 		damage:     make(map[WindowID]*Region),
 	}
 	d.gcProto = GC{

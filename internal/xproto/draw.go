@@ -76,15 +76,31 @@ func (k DrawOpKind) String() string {
 	return "Unknown"
 }
 
-func (d *Display) record(win WindowID, op DrawOp) {
+// record appends an op of the given kind to win's display list, after
+// one map lookup, and returns it for the request to fill in place.
+func (d *Display) record(win WindowID, kind DrawOpKind) *DrawOp {
 	if m := d.obs; m != nil {
-		m.Requests.Inc(op.Kind.String())
+		m.Requests.Inc(kind.String())
 	}
 	if t := d.trace; t != nil {
-		t.Instant("xproto", op.Kind.String())
+		t.Instant("xproto", kind.String())
 	}
 	d.gen++
-	d.drawLog[win] = append(d.drawLog[win], op)
+	l := d.drawLog[win]
+	if l == nil {
+		l = new([]DrawOp)
+		d.drawLog[win] = l
+	}
+	*l = append(*l, DrawOp{Kind: kind})
+	return &(*l)[len(*l)-1]
+}
+
+// displayList returns win's recorded ops.
+func (d *Display) displayList(win WindowID) []DrawOp {
+	if l := d.drawLog[win]; l != nil {
+		return *l
+	}
+	return nil
 }
 
 // ClearWindow erases the window to its background and resets its
@@ -94,13 +110,16 @@ func (d *Display) ClearWindow(win WindowID) {
 	if !ok {
 		return
 	}
-	d.drawLog[win] = d.drawLog[win][:0]
-	d.record(win, DrawOp{Kind: OpClear, W: w.Width, H: w.Height, Color: w.Background})
+	if l := d.drawLog[win]; l != nil {
+		*l = (*l)[:0]
+	}
+	op := d.record(win, OpClear)
+	op.W, op.H, op.Color = w.Width, w.Height, w.Background
 }
 
 // opBounds returns the damage bounding box of a recorded op, used by
 // ClearArea to decide what an erased rect invalidates.
-func opBounds(op DrawOp) Rect {
+func opBounds(op *DrawOp) Rect {
 	switch op.Kind {
 	case OpDrawLine:
 		x0, y0 := minI(op.X, op.X2), minI(op.Y, op.Y2)
@@ -141,52 +160,61 @@ func (d *Display) ClearArea(id WindowID, x, y, w, h int) {
 		d.ClearWindow(id)
 		return
 	}
-	log := d.drawLog[id]
-	out := log[:0]
-	for _, op := range log {
-		b := opBounds(op)
-		keep := !r.Contains(b)
-		if keep && op.Kind == OpDrawString && r.Intersects(b) {
-			keep = false
+	if l := d.drawLog[id]; l != nil {
+		log := *l
+		n := 0
+		for i := range log {
+			op := &log[i]
+			b := opBounds(op)
+			keep := !r.Contains(b)
+			if keep && op.Kind == OpDrawString && r.Intersects(b) {
+				keep = false
+			}
+			if keep {
+				if n != i {
+					log[n] = *op
+				}
+				n++
+			}
 		}
-		if keep {
-			out = append(out, op)
-		}
+		*l = log[:n]
 	}
-	d.drawLog[id] = out
-	d.record(id, DrawOp{Kind: OpClear, X: r.X, Y: r.Y, W: r.W, H: r.H, Color: win.Background})
+	op := d.record(id, OpClear)
+	op.X, op.Y, op.W, op.H, op.Color = r.X, r.Y, r.W, r.H, win.Background
 }
 
 // FillRectangle fills a rectangle in window coordinates.
 func (d *Display) FillRectangle(win WindowID, gc *GC, x, y, w, h int) {
-	d.record(win, DrawOp{Kind: OpFillRect, X: x, Y: y, W: w, H: h, Color: gc.Foreground})
+	op := d.record(win, OpFillRect)
+	op.X, op.Y, op.W, op.H, op.Color = x, y, w, h, gc.Foreground
 }
 
 // DrawRectangle outlines a rectangle.
 func (d *Display) DrawRectangle(win WindowID, gc *GC, x, y, w, h int) {
-	d.record(win, DrawOp{Kind: OpDrawRect, X: x, Y: y, W: w, H: h, Color: gc.Foreground})
+	op := d.record(win, OpDrawRect)
+	op.X, op.Y, op.W, op.H, op.Color = x, y, w, h, gc.Foreground
 }
 
 // DrawLine draws a line segment.
 func (d *Display) DrawLine(win WindowID, gc *GC, x1, y1, x2, y2 int) {
-	d.record(win, DrawOp{Kind: OpDrawLine, X: x1, Y: y1, X2: x2, Y2: y2, Color: gc.Foreground})
+	op := d.record(win, OpDrawLine)
+	op.X, op.Y, op.X2, op.Y2, op.Color = x1, y1, x2, y2, gc.Foreground
 }
 
 // DrawPoint draws a single point.
 func (d *Display) DrawPoint(win WindowID, gc *GC, x, y int) {
-	d.record(win, DrawOp{Kind: OpDrawPoint, X: x, Y: y, Color: gc.Foreground})
+	op := d.record(win, OpDrawPoint)
+	op.X, op.Y, op.Color = x, y, gc.Foreground
 }
 
 // DrawString draws text with the GC font; (x, y) is the baseline origin
 // as in XDrawString.
 func (d *Display) DrawString(win WindowID, gc *GC, x, y int, s string) {
-	fontName := "fixed"
-	bold := false
+	op := d.record(win, OpDrawString)
+	op.X, op.Y, op.Text, op.Color, op.Font = x, y, s, gc.Foreground, "fixed"
 	if gc.Font != nil {
-		fontName = gc.Font.Name
-		bold = gc.Font.Bold
+		op.Font, op.Bold = gc.Font.Name, gc.Font.Bold
 	}
-	d.record(win, DrawOp{Kind: OpDrawString, X: x, Y: y, Text: s, Color: gc.Foreground, Font: fontName, Bold: bold})
 }
 
 // CopyPixmap records blitting a named pixmap into the window.
@@ -194,12 +222,13 @@ func (d *Display) CopyPixmap(win WindowID, pm *Pixmap, x, y int) {
 	if pm == nil {
 		return
 	}
-	d.record(win, DrawOp{Kind: OpCopyPixmap, X: x, Y: y, W: pm.Width, H: pm.Height, PixmapName: pm.Name})
+	op := d.record(win, OpCopyPixmap)
+	op.X, op.Y, op.W, op.H, op.PixmapName = x, y, pm.Width, pm.Height, pm.Name
 }
 
 // DrawLogFor returns a copy of the window's display list.
 func (d *Display) DrawLogFor(win WindowID) []DrawOp {
-	ops := d.drawLog[win]
+	ops := d.displayList(win)
 	out := make([]DrawOp, len(ops))
 	copy(out, ops)
 	return out
@@ -208,7 +237,7 @@ func (d *Display) DrawLogFor(win WindowID) []DrawOp {
 // StringsDrawn returns all text drawn into the window, in order.
 func (d *Display) StringsDrawn(win WindowID) []string {
 	var out []string
-	for _, op := range d.drawLog[win] {
+	for _, op := range d.displayList(win) {
 		if op.Kind == OpDrawString {
 			out = append(out, op.Text)
 		}
@@ -295,7 +324,7 @@ func (d *Display) paintInto(grid [][]rune, w *Window, dx, dy int) {
 		d.frame(grid, ax, ay, w.Width, w.Height)
 	}
 	// Paint recorded strings.
-	for _, op := range d.drawLog[w.ID] {
+	for _, op := range d.displayList(w.ID) {
 		if op.Kind != OpDrawString {
 			continue
 		}
@@ -381,7 +410,7 @@ func (d *Display) renderInto(img *image.RGBA, w *Window, dx, dy int) {
 		}
 		img.Set(x, y, color.RGBA{p.R, p.G, p.B, 255})
 	}
-	for _, op := range d.drawLog[w.ID] {
+	for _, op := range d.displayList(w.ID) {
 		switch op.Kind {
 		case OpClear, OpFillRect:
 			x0, y0 := ax+op.X, ay+op.Y

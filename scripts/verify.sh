@@ -51,11 +51,14 @@ go test -race ./internal/tcl/ ./internal/core/ ./internal/xt/ ./internal/fronten
 # goroutine that stands in for the poller where pipes take no read
 # deadlines;
 # TestTrace/TestRing/TestSpan cover concurrent span/event recording
-# against readers, and TestFlight the anomaly snapshots. Run by name
-# so a renamed test cannot silently drop out of the gate.
-echo "== go test -race fault injection + supervision + xrm concurrency + sessions + tracing"
+# against readers, and TestFlight the anomaly snapshots;
+# TestSessionSharedScript evaluates one compiled Script from two
+# sessions at once, and TestStreamingSessionHeldBudget bounds the heap
+# a session keeps after streaming unique data lines. Run by name so a
+# renamed test cannot silently drop out of the gate.
+echo "== go test -race fault injection + supervision + xrm concurrency + sessions + tracing + streaming"
 go test -race -count 1 \
-    -run 'TestSupervisor|TestShutdown|TestReadError|TestOverlong|TestPipeInput|TestPostFrom|TestPostFunnel|TestTimer|TestXrmConcurrent|TestSession|TestServe|TestTrace|TestRing|TestSpan|TestFlight' \
+    -run 'TestSupervisor|TestShutdown|TestReadError|TestOverlong|TestPipeInput|TestPostFrom|TestPostFunnel|TestTimer|TestXrmConcurrent|TestSession|TestStreaming|TestServe|TestTrace|TestRing|TestSpan|TestFlight' \
     ./internal/xt/ ./internal/frontend/ ./internal/obs/
 
 # The protocol line reader against a reference split of the line-limit
@@ -87,6 +90,16 @@ go test -race -count 1 -run 'TestOracle|TestDifferential|TestDemoScriptsEngineDi
 
 echo "== go test -fuzz FuzzExpr (15s)"
 go test -run '^$' -fuzz '^FuzzExpr$' -fuzztime 15s ./internal/tcl
+
+# The script parser's literal runs against the classic byte-at-a-time
+# word parser (commands, words, tokens and parse errors with offsets),
+# and the plotter's one-pass series scanner against strings.Fields +
+# strconv.ParseFloat (float64 bits and the nil/error outcome).
+echo "== go test -fuzz FuzzParse (15s)"
+go test -run '^$' -fuzz '^FuzzParse$' -fuzztime 15s ./internal/tcl
+
+echo "== go test -fuzz FuzzParseSeries (15s)"
+go test -run '^$' -fuzz '^FuzzParseSeries$' -fuzztime 15s ./internal/plotter
 
 echo "== scripts/bench.sh tclvm"
 COUNT=2 BENCHTIME=0.3s scripts/bench.sh tclvm
